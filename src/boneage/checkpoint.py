@@ -73,6 +73,8 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             offset = int(offset_s)
         except ValueError as exc:
             raise CheckpointError(f"{path}:{lineno}: bad shape or offset") from exc
+        if offset < 0 or any(d < 1 for d in shape):
+            raise CheckpointError(f"{path}:{lineno}: negative offset or extent below 1 in {line!r}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
         if end > len(blob):

@@ -3,6 +3,13 @@
 A GrayImage is a (height, width) float32 array with values in [0, 1].
 File formats: binary PGM (P5, maxval 255) both ways, 8-bit PNG read-only
 (RGB collapsed with luminance weights 0.299/0.587/0.114).
+
+``resize_bilinear`` is separable: it blends along x over only the source
+rows the output reads, then along y. Every output pixel still goes through
+the same float32 operations in the same order as a direct 2-D gather
+(x-blend of both tapped rows, y-blend, clip to [0, 1]), so its output is
+byte-identical to that gather; ``tests/test_imaging.py`` holds it to a
+gather oracle byte for byte.
 """
 
 from __future__ import annotations
@@ -81,6 +88,8 @@ def _read_pgm(raw: bytes, path: Path) -> GrayImage:
         width, height, maxval = (int(f) for f in fields)
     except ValueError:
         raise ImageIOError(f"{path}: malformed PGM header") from None
+    if width < 1 or height < 1:
+        raise ImageIOError(f"{path}: PGM extents must be >= 1, got {width}x{height}")
     if maxval != 255:
         raise ImageIOError(f"{path}: only maxval 255 PGM supported, got {maxval}")
     need = width * height
@@ -153,20 +162,48 @@ def _bilinear_sample(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     return top * (1.0 - fy) + bot * fy
 
 
+def _axis_taps(n_in: int, n_out: int):
+    """Per output index along one axis: source taps i0, i1 and weight of i1."""
+    # half-pixel centers so that same-size resize is the identity
+    c = (np.arange(n_out, dtype=np.float32) + 0.5) * (n_in / n_out) - 0.5
+    c = np.clip(c, 0.0, n_in - 1.0)
+    i0 = np.floor(c).astype(np.intp)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    return i0, i1, (c - i0).astype(np.float32)
+
+
 def resize_bilinear(img: GrayImage, new_width: int, new_height: int) -> GrayImage:
     """Bilinear resize with independent axis scaling and edge clamping."""
     if new_width < 1 or new_height < 1:
         raise ContractError(f"target extents must be >= 1, got {new_width}x{new_height}")
-    h, w = img.pixels.shape
+    px = img.pixels
+    h, w = px.shape
     if (new_width, new_height) == (w, h):
         return img.copy()
-    # half-pixel centers so that same-size resize is the identity
-    xs = (np.arange(new_width, dtype=np.float32) + 0.5) * (w / new_width) - 0.5
-    ys = (np.arange(new_height, dtype=np.float32) + 0.5) * (h / new_height) - 0.5
-    grid_x = np.broadcast_to(xs, (new_height, new_width))
-    grid_y = np.broadcast_to(ys[:, None], (new_height, new_width))
-    out = _bilinear_sample(img.pixels, grid_x, grid_y)
-    return GrayImage.from_array(out, clip=True)
+    x0, x1, fx = _axis_taps(w, new_width)
+    y0, y1, fy = _axis_taps(h, new_height)
+    gx = 1.0 - fx
+
+    def blend_x(rows):
+        out = np.take(rows, x0, axis=1)
+        out *= gx
+        right = np.take(rows, x1, axis=1)
+        right *= fx
+        out += right
+        return out
+
+    if 2 * new_height < h:  # blend only the rows the y-taps read
+        top = blend_x(np.take(px, y0, axis=0))
+        bot = blend_x(np.take(px, y1, axis=0))
+    else:
+        rows = blend_x(px)
+        top = np.take(rows, y0, axis=0)
+        bot = np.take(rows, y1, axis=0)
+    top *= (1.0 - fy)[:, None]
+    bot *= fy[:, None]
+    top += bot
+    np.clip(top, 0.0, 1.0, out=top)
+    return GrayImage(top)
 
 
 def _rot90_exact(px: np.ndarray, quarter_turns: int) -> np.ndarray:

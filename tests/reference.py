@@ -227,6 +227,32 @@ def resize_bilinear_ref(px, out_w, out_h):
     return out
 
 
+def resize_bilinear_gather_ref(px, out_w, out_h):
+    """The package's resize as one float32 2-D gather: its byte-exact oracle.
+
+    Unlike the float64 oracles here this one keeps float32 and the exact
+    operation order (x-blend of both tapped rows, y-blend, clip), so the
+    separable resize must match it byte for byte, not to a tolerance.
+    """
+    px = np.asarray(px, dtype=np.float32)
+    h, w = px.shape
+    if (out_w, out_h) == (w, h):
+        return px.copy()
+    xs = (np.arange(out_w, dtype=np.float32) + 0.5) * (w / out_w) - 0.5
+    ys = (np.arange(out_h, dtype=np.float32) + 0.5) * (h / out_h) - 0.5
+    xs = np.clip(np.broadcast_to(xs, (out_h, out_w)), 0.0, w - 1.0)
+    ys = np.clip(np.broadcast_to(ys[:, None], (out_h, out_w)), 0.0, h - 1.0)
+    x0 = np.floor(xs).astype(np.intp)
+    y0 = np.floor(ys).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    fx = (xs - x0).astype(np.float32)
+    fy = (ys - y0).astype(np.float32)
+    top = px[y0, x0] * (1.0 - fx) + px[y0, x1] * fx
+    bot = px[y1, x0] * (1.0 - fx) + px[y1, x1] * fx
+    return np.clip(top * (1.0 - fy) + bot * fy, 0.0, 1.0)
+
+
 def rot90_ref(px):
     """Quarter turn: the old top-right corner becomes the new top-left."""
     px = np.asarray(px, dtype=np.float64)

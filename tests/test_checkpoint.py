@@ -87,3 +87,19 @@ def test_spaces_in_parameter_names_rejected(tmp_path):
     bad = {"a b": Tensor(np.zeros(1), requires_grad=True)}
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "x.ckpt", bad)
+
+
+def test_negative_offset_rejected_with_line_number(tmp_path):
+    path = tmp_path / "neg.ckpt"
+    path.write_bytes(f"{FORMAT_LINE}\na 1 float32 0\nb 1 float32 -4\n\n".encode() + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match=r"neg\.ckpt:3: negative offset"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", ["-1x4", "0x4", "4x0", "0"])
+def test_extent_below_one_rejected_with_line_number(tmp_path, shape):
+    # -1 would otherwise act as a reshape wildcard and load as (1, 4)
+    path = tmp_path / "shape.ckpt"
+    path.write_bytes(f"{FORMAT_LINE}\nw {shape} float32 0\n\n".encode() + b"\x00" * 16)
+    with pytest.raises(CheckpointError, match=r"shape\.ckpt:2: .*extent below 1"):
+        load_checkpoint(path)

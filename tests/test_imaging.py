@@ -16,6 +16,7 @@ from boneage.imaging import (
 
 from reference import (
     flip_h_ref,
+    resize_bilinear_gather_ref,
     resize_bilinear_ref,
     rot90_ref,
     rotate_bilinear_ref,
@@ -107,6 +108,14 @@ def test_pgm_rejects_truncated_pixels(tmp_path):
         load_image(p)
 
 
+@pytest.mark.parametrize("extents", [b"-1 -1", b"0 4", b"4 0"])
+def test_pgm_rejects_extents_below_one(tmp_path, extents):
+    p = tmp_path / "e.pgm"
+    p.write_bytes(b"P5\n" + extents + b"\n255\n" + bytes(16))
+    with pytest.raises(ImageIOError, match=r"e\.pgm: PGM extents must be >= 1"):
+        load_image(p)
+
+
 def test_unknown_magic_rejected(tmp_path):
     p = tmp_path / "x.img"
     p.write_bytes(b"GIF89a...")
@@ -157,6 +166,58 @@ def test_resize_matches_loop_oracle(seed):
     want = resize_bilinear_ref(img.pixels, out_w, out_h)
     assert got.pixels.shape == (out_h, out_w)
     np.testing.assert_allclose(got.pixels, want, atol=1e-5)
+
+
+def _assert_resize_matches_gather(img, out_w, out_h):
+    got = resize_bilinear(img, out_w, out_h)
+    want = resize_bilinear_gather_ref(img.pixels, out_w, out_h)
+    assert got.pixels.dtype == np.float32
+    assert got.pixels.shape == (out_h, out_w)
+    assert got.pixels.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_resize_is_byte_identical_to_gather_oracle(seed):
+    rng = np.random.default_rng(100 + seed)
+    # sizes from 1 pixel up, including same-size and single-axis resizes
+    h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    out_h = h if seed % 6 == 0 else int(rng.integers(1, 60))
+    out_w = w if seed % 4 == 0 else int(rng.integers(1, 60))
+    _assert_resize_matches_gather(_random_image(rng, h, w), out_w, out_h)
+
+
+@pytest.mark.parametrize(
+    "src, dst",
+    [
+        ((1, 1), (37, 23)),  # 1-pixel source
+        ((29, 41), (1, 1)),  # 1-pixel target
+        ((1, 50), (9, 3)),
+        ((50, 1), (3, 9)),
+        ((5, 3), (211, 157)),  # strong upsampling
+        ((300, 257), (7, 5)),  # strong downsampling
+        ((300, 4), (3, 40)),  # down in y, up in x
+    ],
+)
+def test_resize_extreme_scales_are_byte_identical(src, dst):
+    rng = np.random.default_rng(sum(src) + sum(dst))
+    _assert_resize_matches_gather(_random_image(rng, *src), dst[1], dst[0])
+
+
+@pytest.mark.parametrize(
+    "src_wh, dst_wh",
+    [
+        ((96, 64), (720, 480)),  # segment: masked net-size bone image to the working frame
+        ((480, 720), (720, 960)),  # prepare_roi_input after the quarter turn
+        ((720, 960), (96, 128)),  # predict_roi: localizer input
+        ((173, 141), (64, 64)),  # crop_roi: box patch to the age-net patch
+    ],
+)
+def test_resize_pipeline_shapes_are_byte_identical(src_wh, dst_wh):
+    rng = np.random.default_rng(src_wh[0] * dst_wh[0])
+    # masked bone images are mostly zero with a bright band, like the pipeline's
+    px = rng.random((src_wh[1], src_wh[0]), dtype=np.float32)
+    px[:, : src_wh[0] // 3] = 0.0
+    _assert_resize_matches_gather(GrayImage(px), *dst_wh)
 
 
 def test_resize_same_size_is_identity():
