@@ -12,7 +12,6 @@ from .age_estimation import (
     AtlasEntry,
     ReferenceAtlas,
     build_age_model,
-    classify_similarity,
     estimate_age,
     load_atlas,
     save_atlas,
@@ -56,9 +55,8 @@ __all__ = [
     "PipelineConfig", "PredictionRecord", "ReferenceAtlas", "RoiBox",
     "RoiModel", "RpnConfig", "SegmentationModel", "StartupError", "Tape",
     "Tensor", "TrainingError", "UNetConfig", "augment_dataset",
-    "build_age_model", "build_rpn", "build_unet", "classify_similarity",
-    "crop_roi", "dice_score", "enumerate_variants", "estimate_age", "evaluate",
-    "flip_horizontal", "generate_dataset", "generate_phantom", "iou",
+    "build_age_model", "build_rpn", "build_unet", "crop_roi", "dice_score",
+    "enumerate_variants", "estimate_age", "evaluate", "flip_horizontal", "generate_dataset", "generate_phantom", "iou",
     "load_atlas", "load_config", "load_image", "mae", "mape", "predict_roi",
     "prepare_roi_input", "resize_bilinear", "rotate", "run_pipeline",
     "save_atlas", "save_image", "segment", "shift_crop", "train_age",

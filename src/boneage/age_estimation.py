@@ -19,19 +19,8 @@ import numpy as np
 from . import nn
 from .errors import ConfigError, ContractError, DimensionError, ImageIOError, TrainingError
 from .imaging import GrayImage, load_image, save_image
-from .optim import OptimizerConfig, OptimizerState, collect_grads, optimizer_step, zero_grads
-from .tensor import (
-    Tape,
-    Tensor,
-    add,
-    dense,
-    flatten,
-    loss,
-    max_pool2d,
-    relu,
-    scale,
-    softmax_cross_entropy,
-)
+from .optim import OptimizerConfig
+from .tensor import Tensor, add, dense, loss, softmax_cross_entropy
 
 AGE_NORM = 180.0
 
@@ -170,7 +159,7 @@ class AgeEstimate:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AgeConfig:
+class AgeConfig(nn.InputPlane):
     """Geometry of the age network."""
 
     input_size: Tuple[int, int] = (64, 64)
@@ -179,22 +168,9 @@ class AgeConfig:
     num_classes: int = 12
 
     def __post_init__(self):
-        if not self.backbone_channels:
-            raise ConfigError("backbone_channels is empty")
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        w, h = self.input_size
-        div = 2 ** len(self.backbone_channels)
-        if w % div or h % div:
-            raise ConfigError(f"input extents {w}x{h} must be divisible by {div}")
-
-    @property
-    def width(self) -> int:
-        return self.input_size[0]
-
-    @property
-    def height(self) -> int:
-        return self.input_size[1]
+        nn.check_trunk_config(self.backbone_channels, self.input_size)
 
 
 @dataclass
@@ -207,13 +183,7 @@ def build_age_model(config: AgeConfig = AgeConfig(), seed: int = 0) -> AgeModel:
     """Initialize the age network's parameters."""
     rng = np.random.default_rng(seed)
     params: Dict[str, Tensor] = {}
-    in_ch = 1
-    for i, out_ch in enumerate(config.backbone_channels):
-        nn.init_conv_block(params, rng, f"block{i}", in_ch, out_ch)
-        in_ch = out_ch
-    div = 2 ** len(config.backbone_channels)
-    feat = config.backbone_channels[-1] * (config.width // div) * (config.height // div)
-    nn.init_dense(params, rng, "fc", feat, config.hidden)
+    nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
     nn.init_dense(params, rng, "head_class", config.hidden, config.num_classes)
     nn.init_dense(params, rng, "head_reg", config.hidden, 1)
     return AgeModel(config=config, params=params)
@@ -225,19 +195,9 @@ def age_forward(model: AgeModel, x: Tensor) -> Tuple[Tensor, Tensor]:
     Both heads consume the same feature vector.
     """
     cfg = model.config
-    if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise DimensionError(f"expected (N, 1, H, W) input, got {x.shape}")
-    if x.data.shape[2] != cfg.height or x.data.shape[3] != cfg.width:
-        raise DimensionError(
-            f"expected {cfg.height}x{cfg.width} input plane, got "
-            f"{x.data.shape[2]}x{x.data.shape[3]}"
-        )
+    nn.check_input(x, cfg.width, cfg.height)
     p = model.params
-    t = x
-    for i in range(len(cfg.backbone_channels)):
-        t = nn.conv_block(t, p, f"block{i}")
-        t = max_pool2d(t)
-    feats = relu(dense(flatten(t), p["fc.w"], p["fc.b"]))
+    feats = nn.vgg_trunk(x, p, len(cfg.backbone_channels))
     class_logits = dense(feats, p["head_class.w"], p["head_class.b"])
     age_norm = dense(feats, p["head_reg.w"], p["head_reg.b"])
     return class_logits, age_norm
@@ -250,15 +210,6 @@ def _crop_input(model: AgeModel, crop: GrayImage) -> Tensor:
             f"crop must be {cfg.width}x{cfg.height}, got {crop.width}x{crop.height}"
         )
     return Tensor(crop.pixels[None, None, :, :])
-
-
-def classify_similarity(model: AgeModel, crop: GrayImage) -> np.ndarray:
-    """Softmax similarity of the crop to each atlas class; sums to 1."""
-    logits, _ = age_forward(model, _crop_input(model, crop))
-    z = logits.data[0].astype(np.float64)
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 def estimate_age(model: AgeModel, crop: GrayImage, atlas: ReferenceAtlas) -> AgeEstimate:
@@ -295,14 +246,13 @@ def train_age(
     epochs: int = 60,
     optimizer: Optional[OptimizerConfig] = None,
     seed: int = 0,
-    lam: float = 1.0,
     log_fn=None,
 ) -> Tuple[AgeModel, List[float]]:
     """Fit on (crop, age_months, class_index) triples.
 
-    The loss is class cross-entropy plus ``lam`` times the squared
-    error of the regression head against age/180. Returns the model
-    and the mean loss per epoch.
+    The loss is class cross-entropy plus the squared error of the
+    regression head against age/180. Returns the model and the mean
+    loss per epoch.
     """
     cfg = model.config
     if not dataset:
@@ -329,29 +279,10 @@ def train_age(
         onehot[i, int(class_index)] = 1.0
         ages[i, 0] = age_months / AGE_NORM
 
-    rng = np.random.default_rng(seed)
-    state = OptimizerState(learning_rate=optimizer.learning_rate)
-    history: List[float] = []
-    for epoch in range(epochs):
-        total = 0.0
-        batches = 0
-        for idx in nn.minibatches(n, optimizer.batch_size, rng):
-            zero_grads(model.params)
-            with Tape() as tape:
-                class_logits, age_norm = age_forward(model, Tensor(crops[idx]))
-                ce = softmax_cross_entropy(class_logits, Tensor(onehot[idx]))
-                reg = loss(age_norm, Tensor(ages[idx]), "mse")
-                l = add(ce, scale(reg, lam)) if lam != 1.0 else add(ce, reg)
-                tape.backward(l)
-            value = float(l.data)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"age loss became {value} at epoch {epoch}, batch {batches}"
-                )
-            optimizer_step(model.params, collect_grads(model.params), state, kind=optimizer.kind)
-            total += value
-            batches += 1
-        history.append(total / batches)
-        if log_fn is not None:
-            log_fn(f"age epoch {epoch + 1}/{epochs} loss {history[-1]:.5f}")
+    def batch_loss(idx: np.ndarray) -> Tensor:
+        class_logits, age_norm = age_forward(model, Tensor(crops[idx]))
+        ce = softmax_cross_entropy(class_logits, Tensor(onehot[idx]))
+        return add(ce, loss(age_norm, Tensor(ages[idx]), "mse"))
+
+    history = nn.fit(model.params, n, batch_loss, optimizer, epochs, seed, "age", log_fn)
     return model, history

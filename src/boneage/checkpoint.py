@@ -58,6 +58,7 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
     if not manifest or manifest[0].strip() != FORMAT_LINE:
         raise CheckpointError(f"{path}: missing '{FORMAT_LINE}' header line")
     out: Dict[str, np.ndarray] = {}
+    blob_end = 0
     for lineno, line in enumerate(manifest[1:], start=2):
         line = line.strip()
         if not line:
@@ -75,12 +76,19 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             raise CheckpointError(f"{path}:{lineno}: bad shape or offset") from exc
         if offset < 0 or any(d < 1 for d in shape):
             raise CheckpointError(f"{path}:{lineno}: negative offset or extent below 1 in {line!r}")
+        if name in out:
+            raise CheckpointError(f"{path}:{lineno}: parameter {name!r} listed twice")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
         if end > len(blob):
             raise CheckpointError(f"{path}:{lineno}: blob truncated for {name!r}")
+        blob_end = max(blob_end, end)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         out[name] = arr.reshape(shape).astype(np.float32)
+    if len(blob) > blob_end:
+        raise CheckpointError(
+            f"{path}: {len(blob) - blob_end} bytes after the last parameter's data"
+        )
     return out
 
 

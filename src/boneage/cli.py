@@ -17,14 +17,13 @@ from typing import List, Optional
 
 from . import pipeline as pl
 from .augmentation import LabeledImage, augment_dataset
-from .checkpoint import load_checkpoint, restore_params
 from .config import PipelineConfig, load_config
-from .errors import BoneAgeError, ContractError, StartupError
+from .errors import BoneAgeError, ContractError
 from .imaging import load_image, save_image
 from .metrics import evaluate, selftest_report
 from .phantom import generate_dataset
-from .roi import build_rpn, predict_roi, prepare_roi_input
-from .segmentation import build_unet, segment
+from .roi import predict_roi, prepare_roi_input
+from .segmentation import segment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -242,16 +241,8 @@ def _cmd_train_age(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _load_seg_model(config: PipelineConfig):
-    if not config.seg_checkpoint.is_file():
-        raise StartupError(f"segmentation: checkpoint missing at {config.seg_checkpoint}")
-    model = build_unet(config.unet, seed=config.seed)
-    restore_params(model.params, load_checkpoint(config.seg_checkpoint), str(config.seg_checkpoint))
-    return model
-
-
 def _cmd_segment(args, config: PipelineConfig) -> int:
-    model = _load_seg_model(config)
+    model = pl.load_model(config, "segmentation")
     img = load_image(args.image)
     mask, bone = segment(model, img)
     out = config.out_dir
@@ -264,11 +255,8 @@ def _cmd_segment(args, config: PipelineConfig) -> int:
 
 
 def _cmd_roi(args, config: PipelineConfig) -> int:
-    seg_model = _load_seg_model(config)
-    if not config.roi_checkpoint.is_file():
-        raise StartupError(f"localization: checkpoint missing at {config.roi_checkpoint}")
-    roi_model = build_rpn(config.rpn, seed=config.seed)
-    restore_params(roi_model.params, load_checkpoint(config.roi_checkpoint), str(config.roi_checkpoint))
+    seg_model = pl.load_model(config, "segmentation")
+    roi_model = pl.load_model(config, "localization")
     img = load_image(args.image)
     _, bone = segment(seg_model, img)
     box, confidence = predict_roi(roi_model, prepare_roi_input(bone))

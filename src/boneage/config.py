@@ -86,17 +86,6 @@ class _Reader:
     def get_float(self, key: str, default: float) -> float:
         return self._take(key, float, default)
 
-    def get_bool(self, key: str, default: bool) -> bool:
-        def conv(raw):
-            low = raw.strip().lower()
-            if low in ("true", "yes", "1", "on"):
-                return True
-            if low in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
-
-        return self._take(key, conv, default)
-
     def get_path(self, key: str, default: Path, base: Optional[Path]) -> Path:
         raw = self._take(key, str, None)
         if raw is None:

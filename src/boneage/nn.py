@@ -1,18 +1,29 @@
 """Shared building blocks for the three networks.
 
 Models in this package are a plain dict of named parameter Tensors plus
-a forward function; these helpers cover He-uniform initialization, the
-conv+relu blocks everything is assembled from, and minibatch iteration.
+a forward function. These helpers cover He-uniform initialization, the
+conv+relu blocks everything is assembled from, the VGG-style trunk the
+localizer and the age net share, and the one training loop.
+
+The trunk is ``block{i}`` double-conv blocks, each followed by a 2x2
+max-pool, then ``relu(fc)`` over the flattened features; the heads on
+top are the caller's. ``fit`` runs every network's training: shuffled
+minibatches (``minibatches``), a fresh tape per step, a finite-loss
+check, one ``optimizer_step``, and the epoch mean handed to ``log_fn``.
+Both loop calls go through this module's names, so code that rebinds
+them (the benchmark's step clock and tracer) sees every step.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .errors import ConfigError, DimensionError, TrainingError
+from .optim import OptimizerConfig, OptimizerState, collect_grads, optimizer_step, zero_grads
+from .tensor import Tape, Tensor
 
 
 def he_uniform(rng: np.random.Generator, shape: Sequence[int], fan_in: int) -> np.ndarray:
@@ -66,8 +77,113 @@ def init_conv_block(
     init_conv(params, rng, f"{name}.conv2", out_ch, out_ch)
 
 
+class InputPlane:
+    """``width`` and ``height`` of a network config's ``input_size``."""
+
+    input_size: Tuple[int, int]
+
+    @property
+    def width(self) -> int:
+        return self.input_size[0]
+
+    @property
+    def height(self) -> int:
+        return self.input_size[1]
+
+
+def check_divisible(input_size: Tuple[int, int], pools: int) -> None:
+    """Both input extents must survive ``pools`` 2x2 max-pools exactly."""
+    w, h = input_size
+    div = 2 ** pools
+    if w % div or h % div:
+        raise ConfigError(f"input extents {w}x{h} must be divisible by {div}")
+
+
+def check_trunk_config(channels: Tuple[int, ...], input_size: Tuple[int, int]) -> None:
+    if not channels:
+        raise ConfigError("backbone_channels is empty")
+    check_divisible(input_size, len(channels))
+
+
+def check_input(x: Tensor, width: int, height: int) -> None:
+    """The networks take a (N, 1, height, width) batch."""
+    if x.data.ndim != 4 or x.data.shape[1] != 1:
+        raise DimensionError(f"expected (N, 1, H, W) input, got {x.shape}")
+    if x.data.shape[2] != height or x.data.shape[3] != width:
+        raise DimensionError(
+            f"expected {height}x{width} input plane, got "
+            f"{x.data.shape[2]}x{x.data.shape[3]}"
+        )
+
+
+def init_vgg_trunk(
+    params: Dict[str, Tensor],
+    rng: np.random.Generator,
+    channels: Tuple[int, ...],
+    input_size: Tuple[int, int],
+    hidden: int,
+) -> None:
+    """Register the conv blocks and the ``fc`` layer, in that draw order."""
+    in_ch = 1
+    for i, out_ch in enumerate(channels):
+        init_conv_block(params, rng, f"block{i}", in_ch, out_ch)
+        in_ch = out_ch
+    div = 2 ** len(channels)
+    feat = channels[-1] * (input_size[0] // div) * (input_size[1] // div)
+    init_dense(params, rng, "fc", feat, hidden)
+
+
+def vgg_trunk(x: Tensor, params: Dict[str, Tensor], depth: int) -> Tensor:
+    """``depth`` conv blocks with pooling, then relu(fc): (N, hidden) features."""
+    t = x
+    for i in range(depth):
+        t = conv_block(t, params, f"block{i}")
+        t = T.max_pool2d(t)
+    return T.relu(T.dense(T.flatten(t), params["fc.w"], params["fc.b"]))
+
+
 def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
     """Shuffled index batches covering 0..n-1 once."""
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
+
+
+def fit(
+    params: Dict[str, Tensor],
+    n: int,
+    loss_fn: Callable[[np.ndarray], Tensor],
+    optimizer: OptimizerConfig,
+    epochs: int,
+    seed: int,
+    label: str,
+    log_fn: Optional[Callable[[str], None]] = None,
+) -> List[float]:
+    """Minimize ``loss_fn(batch indices)`` over ``n`` samples; returns the
+    mean loss per epoch.
+
+    ``loss_fn`` runs under the step's tape and returns the scalar loss.
+    ``label`` names the stage in the per-epoch log line and in the
+    TrainingError raised when a batch loss stops being finite.
+    """
+    rng = np.random.default_rng(seed)
+    state = OptimizerState(learning_rate=optimizer.learning_rate)
+    history: List[float] = []
+    for epoch in range(epochs):
+        total = 0.0
+        batches = 0
+        for idx in minibatches(n, optimizer.batch_size, rng):
+            zero_grads(params)
+            with Tape() as tape:
+                l = loss_fn(idx)
+                tape.backward(l)
+            value = float(l.data)
+            if not np.isfinite(value):
+                raise TrainingError(f"{label} loss became {value} at epoch {epoch}, batch {batches}")
+            optimizer_step(params, collect_grads(params), state, kind=optimizer.kind)
+            total += value
+            batches += 1
+        history.append(total / batches)
+        if log_fn is not None:
+            log_fn(f"{label} epoch {epoch + 1}/{epochs} loss {history[-1]:.5f}")
+    return history

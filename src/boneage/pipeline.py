@@ -32,7 +32,7 @@ from .age_estimation import (
     train_age,
 )
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
-from .config import PipelineConfig
+from .config import PipelineConfig, TrainSettings
 from .errors import BoneAgeError, StartupError
 from .imaging import GrayImage, load_image, resize_bilinear, save_image
 from .optim import OptimizerConfig
@@ -132,20 +132,6 @@ def age_crop(sample: PhantomSample, crop_size: Tuple[int, int]) -> GrayImage:
     return crop_roi(prepared, _prepared_box(sample), crop_size[0], crop_size[1])
 
 
-def age_data(
-    samples: Sequence[PhantomSample], atlas: ReferenceAtlas, crop_size: Tuple[int, int]
-) -> List[Tuple[GrayImage, float, int]]:
-    """(crop, age_months, class index) triples from true phantoms only."""
-    out = []
-    for s in samples:
-        if not s.is_true:
-            continue
-        out.append(
-            (age_crop(s, crop_size), s.age_months, atlas.class_of(s.sex, s.age_months))
-        )
-    return out
-
-
 def _jitter_box(box: RoiBox, rng: np.random.Generator) -> RoiBox:
     """Perturb a box the way the localizer tends to miss: a little
     off-center and somewhat too large or too small."""
@@ -224,6 +210,36 @@ def build_phantom_atlas(
 
 
 # ---------------------------------------------------------------------------
+# checkpoints
+# ---------------------------------------------------------------------------
+
+# stage name -> (builder, config geometry attribute, checkpoint path attribute)
+_MODELS = {
+    "segmentation": (build_unet, "unet", "seg_checkpoint"),
+    "localization": (build_rpn, "rpn", "roi_checkpoint"),
+    "age": (build_age_model, "age", "age_checkpoint"),
+}
+
+
+def _checkpoint_path(config: PipelineConfig, stage: str) -> Path:
+    path = getattr(config, _MODELS[stage][2])
+    if not Path(path).is_file():
+        raise StartupError(f"{stage}: checkpoint missing at {path} (train that stage first)")
+    return path
+
+
+def load_model(config: PipelineConfig, stage: str):
+    """Build one stage's network from config geometry and restore its
+    checkpoint; any error names the stage."""
+    path = _checkpoint_path(config, stage)
+    build, geometry, _ = _MODELS[stage]
+    model = build(getattr(config, geometry), seed=config.seed)
+    with _stage(stage):
+        restore_params(model.params, load_checkpoint(path), str(path))
+    return model
+
+
+# ---------------------------------------------------------------------------
 # training orchestration
 # ---------------------------------------------------------------------------
 
@@ -248,21 +264,22 @@ def holdout_phantoms(config: PipelineConfig, count: Optional[int] = None) -> Lis
     )
 
 
+def _optimizer(settings: TrainSettings) -> OptimizerConfig:
+    return OptimizerConfig(
+        kind="adaptive", learning_rate=settings.learning_rate, batch_size=settings.batch_size
+    )
+
+
 def train_segmentation_stage(
     config: PipelineConfig, samples: Optional[Sequence[PhantomSample]] = None, log_fn: LogFn = None
 ) -> Tuple[SegmentationModel, List[float]]:
     samples = samples if samples is not None else training_phantoms(config)
     model = build_unet(config.unet, seed=config.seed)
-    opt = OptimizerConfig(
-        kind="adaptive",
-        learning_rate=config.seg_train.learning_rate,
-        batch_size=config.seg_train.batch_size,
-    )
     model, history = train_segmentation(
         model,
         segmentation_data(samples),
         epochs=config.seg_train.epochs,
-        optimizer=opt,
+        optimizer=_optimizer(config.seg_train),
         seed=config.seed,
         log_fn=log_fn,
     )
@@ -276,16 +293,11 @@ def train_roi_stage(
 ) -> Tuple[RoiModel, List[float]]:
     samples = samples if samples is not None else training_phantoms(config)
     model = build_rpn(config.rpn, seed=config.seed)
-    opt = OptimizerConfig(
-        kind="adaptive",
-        learning_rate=config.roi_train.learning_rate,
-        batch_size=config.roi_train.batch_size,
-    )
     model, history = train_roi(
         model,
         roi_data(samples, config.rpn.input_size),
         epochs=config.roi_train.epochs,
-        optimizer=opt,
+        optimizer=_optimizer(config.roi_train),
         seed=config.seed,
         log_fn=log_fn,
     )
@@ -307,27 +319,14 @@ def train_age_stage(
     """
     samples = samples if samples is not None else training_phantoms(config)
     if seg_model is None:
-        if not Path(config.seg_checkpoint).is_file():
-            raise StartupError(
-                f"segmentation: checkpoint missing at {config.seg_checkpoint} "
-                "(train the segmenter first)"
-            )
-        seg_model = build_unet(config.unet, seed=config.seed)
-        restore_params(
-            seg_model.params, load_checkpoint(config.seg_checkpoint), str(config.seg_checkpoint)
-        )
+        seg_model = load_model(config, "segmentation")
     atlas = build_phantom_atlas(config)
     model = build_age_model(config.age, seed=config.seed)
-    opt = OptimizerConfig(
-        kind="adaptive",
-        learning_rate=config.age_train.learning_rate,
-        batch_size=config.age_train.batch_size,
-    )
     model, history = train_age(
         model,
         age_data_deployed(samples, atlas, config.age.input_size, seg_model, seed=config.seed),
         epochs=config.age_train.epochs,
-        optimizer=opt,
+        optimizer=_optimizer(config.age_train),
         seed=config.seed,
         log_fn=log_fn,
     )
@@ -360,35 +359,18 @@ class Pipeline:
 
     @classmethod
     def load(cls, config: PipelineConfig) -> "Pipeline":
-        """Build models from config geometry and restore checkpoints."""
-        stages = [
-            ("segmentation", config.seg_checkpoint),
-            ("localization", config.roi_checkpoint),
-            ("age", config.age_checkpoint),
-        ]
-        for stage_name, path in stages:
-            if not Path(path).is_file():
-                raise StartupError(f"{stage_name}: checkpoint missing at {path}")
+        """Build models from config geometry and restore checkpoints.
+
+        Every artifact is checked for presence before any is read.
+        """
+        for stage in _MODELS:
+            _checkpoint_path(config, stage)
         if not Path(config.atlas_manifest).is_file():
             raise StartupError(f"age: atlas manifest missing at {config.atlas_manifest}")
-
-        seg_model = build_unet(config.unet, seed=config.seed)
-        with _stage("segmentation"):
-            restore_params(
-                seg_model.params, load_checkpoint(config.seg_checkpoint), str(config.seg_checkpoint)
-            )
-        roi_model = build_rpn(config.rpn, seed=config.seed)
-        with _stage("localization"):
-            restore_params(
-                roi_model.params, load_checkpoint(config.roi_checkpoint), str(config.roi_checkpoint)
-            )
-        age_model = build_age_model(config.age, seed=config.seed)
+        models = [load_model(config, stage) for stage in _MODELS]
         with _stage("age"):
-            restore_params(
-                age_model.params, load_checkpoint(config.age_checkpoint), str(config.age_checkpoint)
-            )
             atlas = load_atlas(config.atlas_manifest)
-        return cls(config, seg_model, roi_model, age_model, atlas)
+        return cls(config, *models, atlas)
 
     def predict_image(
         self, img: GrayImage, image_path: str = "<memory>", dump_dir: Optional[Path] = None
@@ -430,8 +412,3 @@ class Pipeline:
 def run_pipeline(config: PipelineConfig, image_path, dump_dir: Optional[Path] = None) -> PredictionRecord:
     """Load checkpoints and predict one image (see Pipeline for reuse)."""
     return Pipeline.load(config).predict_path(image_path, dump_dir=dump_dir)
-
-
-def estimate_from_sample(pipe: Pipeline, sample: PhantomSample) -> PredictionRecord:
-    """Predict directly from an in-memory phantom sample."""
-    return pipe.predict_image(sample.image, image_path="<phantom>")

@@ -22,21 +22,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, ContractError, DimensionError, TrainingError
+from .errors import ContractError, TrainingError
 from .imaging import GrayImage, resize_bilinear, rotate
-from .optim import OptimizerConfig, OptimizerState, collect_grads, optimizer_step, zero_grads
-from .tensor import (
-    Tape,
-    Tensor,
-    add,
-    dense,
-    flatten,
-    loss,
-    max_pool2d,
-    relu,
-    select_rows,
-    sigmoid,
-)
+from .optim import OptimizerConfig
+from .tensor import Tensor, add, dense, loss, select_rows, sigmoid
 
 RAW_WIDTH = 720
 RAW_HEIGHT = 480
@@ -147,7 +136,7 @@ def crop_roi(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RpnConfig:
+class RpnConfig(nn.InputPlane):
     """Geometry of the localization network: VGG-style blocks, one box."""
 
     backbone_channels: Tuple[int, ...] = (8, 16, 32)
@@ -155,20 +144,7 @@ class RpnConfig:
     hidden: int = 64
 
     def __post_init__(self):
-        if not self.backbone_channels:
-            raise ConfigError("backbone_channels is empty")
-        w, h = self.input_size
-        div = 2 ** len(self.backbone_channels)
-        if w % div or h % div:
-            raise ConfigError(f"input extents {w}x{h} must be divisible by {div}")
-
-    @property
-    def width(self) -> int:
-        return self.input_size[0]
-
-    @property
-    def height(self) -> int:
-        return self.input_size[1]
+        nn.check_trunk_config(self.backbone_channels, self.input_size)
 
 
 @dataclass
@@ -181,13 +157,7 @@ def build_rpn(config: RpnConfig = RpnConfig(), seed: int = 0) -> RoiModel:
     """Initialize the localization network's parameters."""
     rng = np.random.default_rng(seed)
     params: Dict[str, Tensor] = {}
-    in_ch = 1
-    for i, out_ch in enumerate(config.backbone_channels):
-        nn.init_conv_block(params, rng, f"block{i}", in_ch, out_ch)
-        in_ch = out_ch
-    div = 2 ** len(config.backbone_channels)
-    feat = config.backbone_channels[-1] * (config.width // div) * (config.height // div)
-    nn.init_dense(params, rng, "fc", feat, config.hidden)
+    nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
     nn.init_dense(params, rng, "head_center", config.hidden, 2)
     nn.init_dense(params, rng, "head_size", config.hidden, 2)
     nn.init_dense(params, rng, "head_conf", config.hidden, 1)
@@ -200,19 +170,9 @@ def rpn_forward(model: RoiModel, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
     Five scalars per image: 2 center, 2 size, 1 confidence.
     """
     cfg = model.config
-    if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise DimensionError(f"expected (N, 1, H, W) input, got {x.shape}")
-    if x.data.shape[2] != cfg.height or x.data.shape[3] != cfg.width:
-        raise DimensionError(
-            f"expected {cfg.height}x{cfg.width} input plane, got "
-            f"{x.data.shape[2]}x{x.data.shape[3]}"
-        )
+    nn.check_input(x, cfg.width, cfg.height)
     p = model.params
-    t = x
-    for i in range(len(cfg.backbone_channels)):
-        t = nn.conv_block(t, p, f"block{i}")
-        t = max_pool2d(t)
-    t = relu(dense(flatten(t), p["fc.w"], p["fc.b"]))
+    t = nn.vgg_trunk(x, p, len(cfg.backbone_channels))
     center = dense(t, p["head_center.w"], p["head_center.b"])
     size = dense(t, p["head_size.w"], p["head_size.b"])
     conf = dense(t, p["head_conf.w"], p["head_conf.b"])
@@ -321,38 +281,17 @@ def train_roi(
         sizes_all[pos_rows] = s_pos
     conf_all = is_true.astype(np.float32)[:, None]
 
-    rng = np.random.default_rng(seed)
-    state = OptimizerState(learning_rate=optimizer.learning_rate)
-    history: List[float] = []
-    for epoch in range(epochs):
-        total = 0.0
-        batches = 0
-        for idx in nn.minibatches(n, optimizer.batch_size, rng):
-            zero_grads(model.params)
-            with Tape() as tape:
-                center, size, conf = rpn_forward(model, Tensor(images[idx]))
-                total_loss = loss(sigmoid(conf), Tensor(conf_all[idx]), "bce")
-                pos = np.flatnonzero(is_true[idx])
-                if pos.size:
-                    l_center = loss(
-                        select_rows(sigmoid(center), pos),
-                        Tensor(centers_all[idx][pos]),
-                        "smooth_l1",
-                    )
-                    l_size = loss(
-                        select_rows(size, pos), Tensor(sizes_all[idx][pos]), "smooth_l1"
-                    )
-                    total_loss = add(add(total_loss, l_center), l_size)
-                tape.backward(total_loss)
-            value = float(total_loss.data)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"localization loss became {value} at epoch {epoch}, batch {batches}"
-                )
-            optimizer_step(model.params, collect_grads(model.params), state, kind=optimizer.kind)
-            total += value
-            batches += 1
-        history.append(total / batches)
-        if log_fn is not None:
-            log_fn(f"roi epoch {epoch + 1}/{epochs} loss {history[-1]:.5f}")
+    def batch_loss(idx: np.ndarray) -> Tensor:
+        center, size, conf = rpn_forward(model, Tensor(images[idx]))
+        total_loss = loss(sigmoid(conf), Tensor(conf_all[idx]), "bce")
+        pos = np.flatnonzero(is_true[idx])
+        if pos.size:
+            l_center = loss(
+                select_rows(sigmoid(center), pos), Tensor(centers_all[idx][pos]), "smooth_l1"
+            )
+            l_size = loss(select_rows(size, pos), Tensor(sizes_all[idx][pos]), "smooth_l1")
+            total_loss = add(add(total_loss, l_center), l_size)
+        return total_loss
+
+    history = nn.fit(model.params, n, batch_loss, optimizer, epochs, seed, "roi", log_fn)
     return model, history

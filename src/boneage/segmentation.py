@@ -22,15 +22,15 @@ import numpy as np
 from . import nn
 from .errors import ConfigError, DimensionError, TrainingError
 from .imaging import GrayImage, resize_bilinear
-from .optim import OptimizerConfig, OptimizerState, collect_grads, optimizer_step, zero_grads
-from .tensor import Tape, Tensor, add, concat_channels, conv2d, loss, max_pool2d, sigmoid, upsample2x
+from .optim import OptimizerConfig
+from .tensor import Tensor, add, concat_channels, conv2d, loss, max_pool2d, sigmoid, upsample2x
 
 WORK_WIDTH = 720
 WORK_HEIGHT = 480
 
 
 @dataclass(frozen=True)
-class UNetConfig:
+class UNetConfig(nn.InputPlane):
     """Geometry of the segmentation network."""
 
     depth: int = 3
@@ -45,18 +45,7 @@ class UNetConfig:
             raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must be in (0, 1), got {self.threshold}")
-        w, h = self.input_size
-        div = 2 ** self.depth
-        if w % div or h % div:
-            raise ConfigError(f"input extents {w}x{h} must be divisible by {div}")
-
-    @property
-    def width(self) -> int:
-        return self.input_size[0]
-
-    @property
-    def height(self) -> int:
-        return self.input_size[1]
+        nn.check_divisible(self.input_size, self.depth)
 
     def level_channels(self, level: int) -> int:
         return self.base_channels * 2 ** level
@@ -90,13 +79,7 @@ def build_unet(config: UNetConfig = UNetConfig(), seed: int = 0) -> Segmentation
 def unet_forward(model: SegmentationModel, x: Tensor) -> Tensor:
     """Per-pixel bone probability, shape (N, 1, height, width)."""
     cfg = model.config
-    if x.data.ndim != 4 or x.data.shape[1] != 1:
-        raise DimensionError(f"expected (N, 1, H, W) input, got {x.shape}")
-    if x.data.shape[2] != cfg.height or x.data.shape[3] != cfg.width:
-        raise DimensionError(
-            f"expected {cfg.height}x{cfg.width} input plane, got "
-            f"{x.data.shape[2]}x{x.data.shape[3]}"
-        )
+    nn.check_input(x, cfg.width, cfg.height)
     p = model.params
     skips = []
     t = x
@@ -173,44 +156,22 @@ def train_segmentation(
     epochs: int = 40,
     optimizer: Optional[OptimizerConfig] = None,
     seed: int = 0,
-    stop_loss: Optional[float] = None,
     log_fn=None,
 ) -> Tuple[SegmentationModel, List[float]]:
     """Fit on (image, binary mask) pairs; both are resized to net size.
 
     The loss is cross-entropy plus overlap loss, equally weighted.
-    Training stops early once the epoch mean drops below ``stop_loss``
-    (when given). Returns the model and the mean loss per epoch.
+    Returns the model and the mean loss per epoch.
     """
     if not dataset:
         raise TrainingError("segmentation training needs at least one sample")
     optimizer = optimizer or OptimizerConfig(kind="adaptive", learning_rate=1e-3, batch_size=16)
     images, masks = _training_arrays(model, dataset)
 
-    rng = np.random.default_rng(seed)
-    state = OptimizerState(learning_rate=optimizer.learning_rate)
-    history: List[float] = []
-    for epoch in range(epochs):
-        total = 0.0
-        batches = 0
-        for idx in nn.minibatches(len(dataset), optimizer.batch_size, rng):
-            zero_grads(model.params)
-            with Tape() as tape:
-                pred = unet_forward(model, Tensor(images[idx]))
-                target = Tensor(masks[idx])
-                l = add(loss(pred, target, "bce"), loss(pred, target, "dice"))
-                tape.backward(l)
-            value = float(l.data)
-            if not np.isfinite(value):
-                raise TrainingError(
-                    f"segmentation loss became {value} at epoch {epoch}, batch {batches}"
-                )
-            optimizer_step(model.params, collect_grads(model.params), state, kind=optimizer.kind)
-            total += value
-            batches += 1
-        history.append(total / batches)
-        if log_fn is not None:
-            log_fn(f"seg epoch {epoch + 1}/{epochs} loss {history[-1]:.5f}")
-        if stop_loss is not None and history[-1] < stop_loss:
-            break
+    def batch_loss(idx: np.ndarray) -> Tensor:
+        pred = unet_forward(model, Tensor(images[idx]))
+        target = Tensor(masks[idx])
+        return add(loss(pred, target, "bce"), loss(pred, target, "dice"))
+
+    history = nn.fit(model.params, len(dataset), batch_loss, optimizer, epochs, seed, "seg", log_fn)
     return model, history

@@ -10,7 +10,7 @@ Conventions:
   * dtype is float32 everywhere; inputs are converted on construction.
   * losses reduce as mean over the batch axis, sum over remaining axes
     (dice is the exception: it is a global overlap ratio by definition).
-  * gradients accumulate into Tensor.grad; call zero_grad between steps.
+  * gradients accumulate into Tensor.grad until optim.zero_grads clears them.
 """
 
 from __future__ import annotations
@@ -32,14 +32,12 @@ __all__ = [
     "relu",
     "sigmoid",
     "softmax_rows",
-    "activation",
     "flatten",
     "add",
     "scale",
     "select_rows",
     "loss",
     "softmax_cross_entropy",
-    "backward",
 ]
 
 _LOG_EPS = 1e-7  # probability clip for bce
@@ -54,13 +52,12 @@ class Tensor:
     flag from their inputs while a tape is active.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "name")
+    __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float32)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
-        self.name = name
 
     @property
     def shape(self) -> tuple:
@@ -69,9 +66,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if g.shape != self.data.shape:
@@ -84,8 +78,7 @@ class Tensor:
             self.grad += g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad}{tag})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
 class _TapeEntry:
@@ -174,11 +167,6 @@ class Tape:
                 g = pending.pop(id(inp), None)
                 if g is not None and inp.requires_grad:
                     inp.accumulate_grad(g)
-
-
-def backward(tape: Tape, root: Tensor) -> None:
-    """Functional alias for :meth:`Tape.backward`."""
-    tape.backward(root)
 
 
 def _as_tensor(x) -> Tensor:
@@ -454,17 +442,6 @@ def softmax_rows(x: Tensor) -> Tensor:
 
     return _make_output(s, (x,), bwd)
 
-
-_ACTIVATIONS = {"relu": relu, "sigmoid": sigmoid, "softmax_rows": softmax_rows}
-
-
-def activation(x: Tensor, kind: str) -> Tensor:
-    """Dispatch to relu / sigmoid / softmax_rows by name."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ContractError(f"unknown activation kind {kind!r}") from None
-    return fn(x)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from boneage.age_estimation import (
     AtlasEntry,
     age_forward,
     build_age_model,
-    classify_similarity,
     default_atlas_classes,
     estimate_age,
     load_atlas,
@@ -178,14 +177,14 @@ def test_zeroed_model_scores_uniformly():
     model = build_age_model(TINY, seed=0)
     for t in model.params.values():
         t.data[:] = 0.0
-    scores = classify_similarity(model, _crop(1, (32, 32)))
+    scores = estimate_age(model, _crop(1, (32, 32)), _atlas((32, 32))).class_scores
     np.testing.assert_allclose(scores, 1.0 / 12.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_similarity_is_a_distribution(seed):
     model = build_age_model(TINY, seed=seed)
-    scores = classify_similarity(model, _crop(seed, (32, 32)))
+    scores = estimate_age(model, _crop(seed, (32, 32)), _atlas((32, 32))).class_scores
     assert scores.shape == (12,)
     assert np.all(scores > 0.0)
     assert abs(scores.sum() - 1.0) <= 1e-6

@@ -103,3 +103,19 @@ def test_extent_below_one_rejected_with_line_number(tmp_path, shape):
     path.write_bytes(f"{FORMAT_LINE}\nw {shape} float32 0\n\n".encode() + b"\x00" * 16)
     with pytest.raises(CheckpointError, match=r"shape\.ckpt:2: .*extent below 1"):
         load_checkpoint(path)
+
+
+def test_repeated_parameter_name_rejected_with_line_number(tmp_path):
+    # the later line used to win silently
+    path = tmp_path / "dup.ckpt"
+    blob = np.array([1.0, 2.0], dtype="<f4").tobytes()
+    path.write_bytes(f"{FORMAT_LINE}\nw 1 float32 0\nw 1 float32 4\n\n".encode() + blob)
+    with pytest.raises(CheckpointError, match=r"dup\.ckpt:3: parameter 'w' listed twice"):
+        load_checkpoint(path)
+
+
+def test_bytes_after_the_last_parameter_rejected(tmp_path):
+    path = tmp_path / "long.ckpt"
+    path.write_bytes(f"{FORMAT_LINE}\nw 2 float32 0\n\n".encode() + b"\x00" * 16)
+    with pytest.raises(CheckpointError, match=r"long\.ckpt: 8 bytes after"):
+        load_checkpoint(path)

@@ -208,6 +208,21 @@ def test_predict_without_checkpoints_fails_with_stage(workspace, tmp_path, capsy
     assert err.startswith("error: segmentation: checkpoint missing")
 
 
+@pytest.mark.parametrize("command", ["segment", "roi"])
+def test_truncated_seg_checkpoint_fails_with_stage(workspace, tmp_path, capsys, command):
+    root, ini = workspace
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    for name in ("seg.ckpt", "roi.ckpt"):
+        (bad / name).write_bytes((root / "out" / name).read_bytes())
+    (bad / "seg.ckpt").write_bytes((root / "out" / "seg.ckpt").read_bytes()[:-4])
+    img = root / "out" / "phantoms" / "ph0000.pgm"
+    assert main([command, str(img), "--config", str(ini), "--out", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: segmentation: ")
+    assert "truncated" in err
+
+
 def test_seed_override_changes_the_data(workspace, tmp_path):
     _, ini = workspace
     for seed, sub in (("11", "a"), ("12", "b")):

@@ -11,12 +11,12 @@ from boneage.checkpoint import save_checkpoint
 from boneage.errors import CheckpointError, StartupError
 from boneage.imaging import save_image
 from boneage.phantom import PhantomSpec, generate_phantom
+from boneage.segmentation import build_unet
 from boneage.pipeline import (
     Pipeline,
     PredictionRecord,
-    age_data,
+    age_data_deployed,
     build_phantom_atlas,
-    estimate_from_sample,
     holdout_phantoms,
     masked_bone_image,
     roi_data,
@@ -67,7 +67,7 @@ def test_age_data_keeps_positives_only(tmp_path):
     cfg = make_config(tmp_path)
     atlas = build_phantom_atlas(cfg)
     samples = [_sample(5), _sample(6, joint=False), _sample(7, maturity=1.0)]
-    triples = age_data(samples, atlas, cfg.age.input_size)
+    triples = age_data_deployed(samples, atlas, cfg.age.input_size, build_unet(cfg.unet))
     assert len(triples) == 2
     for crop, age, class_index in triples:
         assert (crop.width, crop.height) == cfg.age.input_size
@@ -201,9 +201,9 @@ def test_negative_input_is_flagged_low_confidence(trained_stack):
         trained_stack.atlas,
     )
     neg = trained_stack.holdout_negatives[0]
-    record = estimate_from_sample(pipe, neg)
+    record = pipe.predict_image(neg.image, image_path="<phantom>")
     assert record.low_confidence
     pos = trained_stack.holdout_positives[0]
-    record = estimate_from_sample(pipe, pos)
+    record = pipe.predict_image(pos.image, image_path="<phantom>")
     assert not record.low_confidence
     assert record.image_path == "<phantom>"

@@ -314,6 +314,35 @@ def test_train_is_deterministic():
     assert runs[0][1] == runs[1][1]
 
 
+def test_fit_steps_every_batch_and_logs_once_per_epoch(monkeypatch):
+    # the benchmark times steps by rebinding nn.minibatches and epochs by log_fn
+    from boneage import nn
+    from boneage.optim import OptimizerConfig
+
+    steps = []
+    orig = nn.minibatches
+
+    def counting(n, batch_size, rng):
+        for idx in orig(n, batch_size, rng):
+            steps.append(len(idx))
+            yield idx
+
+    monkeypatch.setattr(nn, "minibatches", counting)
+    rng = np.random.default_rng(8)
+    box = RoiBox(10, 16, 20, 24)
+    data = [(_boxed_image(rng, 48, 64, box), box, i % 2 == 0) for i in range(5)]
+    logged = []
+    _, history = train_roi(
+        build_rpn(SMALL, seed=0),
+        data,
+        epochs=2,
+        optimizer=OptimizerConfig(kind="adaptive", learning_rate=1e-3, batch_size=2),
+        log_fn=logged.append,
+    )
+    assert steps == [2, 2, 1] * 2  # 3 batches per epoch x 2 epochs
+    assert logged == [f"roi epoch {e}/2 loss {h:.5f}" for e, h in zip((1, 2), history)]
+
+
 def test_single_sample_overfit_localizes():
     from boneage.optim import OptimizerConfig
 

@@ -39,7 +39,7 @@ def gradcheck(engine_fn, ref_fn, arrays, tol=1e-3, eps=1e-3, forward_tol=1e-5):
     tensors = [T.Tensor(a.astype(np.float32), requires_grad=True) for a in arrays]
     with T.Tape() as tape:
         out = engine_fn(*tensors)
-        T.backward(tape, out)
+        tape.backward(out)
     want = ref_fn(*arrays)
     assert abs(float(out.data) - want) <= forward_tol * max(1.0, abs(want))
     for i in range(len(arrays)):
@@ -126,18 +126,9 @@ def test_upsample_and_concat_forward(seed):
 def test_activation_forward(seed):
     rng = np.random.default_rng(400 + seed)
     x = rng.standard_normal((4, 7))
-    np.testing.assert_allclose(T.activation(T.Tensor(x), "relu").data, relu_ref(x), atol=1e-6)
-    np.testing.assert_allclose(
-        T.activation(T.Tensor(x), "sigmoid").data, sigmoid_ref(x), atol=1e-6
-    )
-    np.testing.assert_allclose(
-        T.activation(T.Tensor(x), "softmax_rows").data, softmax_rows_ref(x), atol=1e-6
-    )
-
-
-def test_activation_rejects_unknown_kind():
-    with pytest.raises(ContractError):
-        T.activation(T.Tensor(np.zeros((2, 2))), "tanh")
+    np.testing.assert_allclose(T.relu(T.Tensor(x)).data, relu_ref(x), atol=1e-6)
+    np.testing.assert_allclose(T.sigmoid(T.Tensor(x)).data, sigmoid_ref(x), atol=1e-6)
+    np.testing.assert_allclose(T.softmax_rows(T.Tensor(x)).data, softmax_rows_ref(x), atol=1e-6)
 
 
 def test_loss_rejects_unknown_kind_and_shape_mismatch():
