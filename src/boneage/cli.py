@@ -17,13 +17,21 @@ from typing import List, Optional
 
 from . import pipeline as pl
 from .augmentation import LabeledImage, augment_dataset
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, rebase_out
 from .errors import BoneAgeError, ContractError
 from .imaging import load_image, save_image
 from .metrics import evaluate, selftest_report
-from .phantom import generate_dataset
 from .roi import predict_roi, prepare_roi_input
 from .segmentation import segment
+
+
+# command -> (help, pipeline stage name, stage trainer); every trainer
+# returns the loss history last
+_TRAIN = {
+    "train-seg": ("train the segmentation network", "segmentation", pl.train_segmentation_stage),
+    "train-roi": ("train the localization network", "localization", pl.train_roi_stage),
+    "train-age": ("train the age network and write the atlas", "age", pl.train_age_stage),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -46,11 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="reference list: lines `ref_id age_months sex path` (default: 12 phantoms)",
     )
 
-    for name, help_text in (
-        ("train-seg", "train the segmentation network"),
-        ("train-roi", "train the localization network"),
-        ("train-age", "train the age network and write the atlas"),
-    ):
+    for name, (help_text, *_) in _TRAIN.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
         sp.add_argument("--epochs", type=int, help="override the configured epoch count")
         sp.add_argument("--count", type=int, help="override the phantom training-set size")
@@ -77,20 +81,8 @@ def _load_config(args) -> PipelineConfig:
     if args.seed is not None:
         config.seed = args.seed
     if args.out is not None:
-        _rebase_out(config, Path(args.out))
+        rebase_out(config, Path(args.out))
     return config
-
-
-def _rebase_out(config: PipelineConfig, new_out: Path) -> None:
-    """Move out_dir and every artifact path that lived under it."""
-    old_out = config.out_dir
-    for attr in ("seg_checkpoint", "roi_checkpoint", "age_checkpoint", "atlas_manifest"):
-        p = getattr(config, attr)
-        try:
-            setattr(config, attr, new_out / p.relative_to(old_out))
-        except ValueError:
-            pass  # explicitly configured outside out_dir; leave it alone
-    config.out_dir = new_out
 
 
 def _log_fn(args):
@@ -121,13 +113,7 @@ def _read_csv_pairs(path: Path) -> List:
 def _cmd_phantom(args, config: PipelineConfig) -> int:
     out = config.out_dir / "phantoms"
     out.mkdir(parents=True, exist_ok=True)
-    samples = generate_dataset(
-        args.count,
-        seed=config.seed,
-        negative_fraction=args.negative_fraction,
-        image_size=config.phantom.image_size,
-        noise_level=config.phantom.noise_level,
-    )
+    samples = pl.phantom_set(config, args.count, config.seed, args.negative_fraction)
     lines = []
     for i, s in enumerate(samples):
         sid = f"ph{i:04d}"
@@ -144,24 +130,11 @@ def _cmd_phantom(args, config: PipelineConfig) -> int:
 
 
 def _default_references(config: PipelineConfig) -> List[LabeledImage]:
-    from .age_estimation import default_atlas_classes
-    from .phantom import PhantomSpec, generate_phantom
-
-    refs = []
-    for i, (sex, age) in enumerate(default_atlas_classes()):
-        sample = generate_phantom(
-            PhantomSpec(
-                seed=config.seed + 500_000 + i,
-                maturity=(age - 120.0) / 60.0,
-                sex=sex,
-                image_size=config.phantom.image_size,
-                noise_level=config.phantom.noise_level,
-            )
-        )
-        refs.append(
-            LabeledImage.reference(sample.image, age, sex, ref_id=f"ref{i:02d}")
-        )
-    return refs
+    exemplars = pl.class_phantoms(config, config.seed + 500_000, config.phantom.noise_level)
+    return [
+        LabeledImage.reference(sample.image, age, sex, ref_id=f"ref{i:02d}")
+        for i, (sex, age, sample) in enumerate(exemplars)
+    ]
 
 
 def _read_references(manifest: Path) -> List[LabeledImage]:
@@ -208,36 +181,17 @@ def _cmd_augment(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _apply_train_overrides(args, config: PipelineConfig, attr: str) -> None:
+def _cmd_train(args, config: PipelineConfig) -> int:
+    _, stage, train_stage = _TRAIN[args.command]
+    _, _, checkpoint, settings = pl.STAGES[stage]
     if args.epochs is not None:
-        setattr(config, attr, replace(getattr(config, attr), epochs=args.epochs))
-
-
-def _cmd_train_seg(args, config: PipelineConfig) -> int:
-    _apply_train_overrides(args, config, "seg_train")
+        setattr(config, settings, replace(getattr(config, settings), epochs=args.epochs))
     samples = pl.training_phantoms(config, args.count)
-    _, history = pl.train_segmentation_stage(config, samples, log_fn=_log_fn(args))
-    print(f"segmentation: {len(history)} epochs, final loss {history[-1]:.5f}")
-    print(f"checkpoint: {config.seg_checkpoint}")
-    return 0
-
-
-def _cmd_train_roi(args, config: PipelineConfig) -> int:
-    _apply_train_overrides(args, config, "roi_train")
-    samples = pl.training_phantoms(config, args.count)
-    _, history = pl.train_roi_stage(config, samples, log_fn=_log_fn(args))
-    print(f"localization: {len(history)} epochs, final loss {history[-1]:.5f}")
-    print(f"checkpoint: {config.roi_checkpoint}")
-    return 0
-
-
-def _cmd_train_age(args, config: PipelineConfig) -> int:
-    _apply_train_overrides(args, config, "age_train")
-    samples = pl.training_phantoms(config, args.count)
-    _, _, history = pl.train_age_stage(config, samples, log_fn=_log_fn(args))
-    print(f"age: {len(history)} epochs, final loss {history[-1]:.5f}")
-    print(f"checkpoint: {config.age_checkpoint}")
-    print(f"atlas: {config.atlas_manifest}")
+    history = train_stage(config, samples, log_fn=_log_fn(args))[-1]
+    print(f"{stage}: {len(history)} epochs, final loss {history[-1]:.5f}")
+    print(f"checkpoint: {getattr(config, checkpoint)}")
+    if stage == "age":
+        print(f"atlas: {config.atlas_manifest}")
     return 0
 
 
@@ -317,9 +271,7 @@ def _cmd_selftest(args, config: PipelineConfig) -> int:
 _COMMANDS = {
     "phantom": _cmd_phantom,
     "augment": _cmd_augment,
-    "train-seg": _cmd_train_seg,
-    "train-roi": _cmd_train_roi,
-    "train-age": _cmd_train_age,
+    **dict.fromkeys(_TRAIN, _cmd_train),
     "segment": _cmd_segment,
     "roi": _cmd_roi,
     "predict": _cmd_predict,

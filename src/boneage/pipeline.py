@@ -18,7 +18,7 @@ import numpy as np
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from .age_estimation import (
     AgeModel,
@@ -32,11 +32,18 @@ from .age_estimation import (
     train_age,
 )
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
-from .config import PipelineConfig, TrainSettings
+from .config import PipelineConfig
 from .errors import BoneAgeError, StartupError
 from .imaging import GrayImage, load_image, resize_bilinear, save_image
 from .optim import OptimizerConfig
-from .phantom import PhantomSample, PhantomSpec, generate_dataset, generate_phantom
+from .phantom import (
+    AGE_MAX_MONTHS,
+    AGE_MIN_MONTHS,
+    PhantomSample,
+    PhantomSpec,
+    generate_dataset,
+    generate_phantom,
+)
 from .roi import (
     PREPARED_HEIGHT,
     PREPARED_WIDTH,
@@ -189,40 +196,48 @@ def age_data_deployed(
     return out
 
 
+def class_phantoms(
+    config: PipelineConfig, seed: int, noise_level: float
+) -> Iterator[Tuple[str, float, PhantomSample]]:
+    """One ``(sex, age_months, phantom)`` per default atlas class; class
+    ``i`` renders from ``seed + i`` on the configured canvas."""
+    for class_id, (sex, age) in enumerate(default_atlas_classes()):
+        spec = PhantomSpec(
+            seed=seed + class_id,
+            maturity=(age - AGE_MIN_MONTHS) / (AGE_MAX_MONTHS - AGE_MIN_MONTHS),
+            sex=sex,
+            image_size=config.phantom.image_size,
+            noise_level=noise_level,
+        )
+        yield sex, age, generate_phantom(spec)
+
+
 def build_phantom_atlas(
     config: PipelineConfig, seed_offset: int = 900_000
 ) -> ReferenceAtlas:
     """Render one exemplar crop per (sex, age) class from noiseless phantoms."""
-    entries = []
-    for class_id, (sex, age) in enumerate(default_atlas_classes()):
-        spec = PhantomSpec(
-            seed=config.seed + seed_offset + class_id,
-            maturity=(age - 120.0) / 60.0,
-            sex=sex,
-            image_size=config.phantom.image_size,
-            noise_level=0.0,
-        )
-        sample = generate_phantom(spec)
-        entries.append(
-            AtlasEntry(sex=sex, age_months=age, image=age_crop(sample, config.age.input_size))
-        )
-    return ReferenceAtlas(entries=entries)
+    exemplars = class_phantoms(config, config.seed + seed_offset, noise_level=0.0)
+    return ReferenceAtlas(entries=[
+        AtlasEntry(sex=sex, age_months=age, image=age_crop(sample, config.age.input_size))
+        for sex, age, sample in exemplars
+    ])
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-# stage name -> (builder, config geometry attribute, checkpoint path attribute)
-_MODELS = {
-    "segmentation": (build_unet, "unet", "seg_checkpoint"),
-    "localization": (build_rpn, "rpn", "roi_checkpoint"),
-    "age": (build_age_model, "age", "age_checkpoint"),
+# stage name -> (builder, config geometry attribute, checkpoint path
+# attribute, TrainSettings attribute); the CLI labels stages by these names
+STAGES = {
+    "segmentation": (build_unet, "unet", "seg_checkpoint", "seg_train"),
+    "localization": (build_rpn, "rpn", "roi_checkpoint", "roi_train"),
+    "age": (build_age_model, "age", "age_checkpoint", "age_train"),
 }
 
 
 def _checkpoint_path(config: PipelineConfig, stage: str) -> Path:
-    path = getattr(config, _MODELS[stage][2])
+    path = getattr(config, STAGES[stage][2])
     if not Path(path).is_file():
         raise StartupError(f"{stage}: checkpoint missing at {path} (train that stage first)")
     return path
@@ -232,7 +247,7 @@ def load_model(config: PipelineConfig, stage: str):
     """Build one stage's network from config geometry and restore its
     checkpoint; any error names the stage."""
     path = _checkpoint_path(config, stage)
-    build, geometry, _ = _MODELS[stage]
+    build, geometry = STAGES[stage][:2]
     model = build(getattr(config, geometry), seed=config.seed)
     with _stage(stage):
         restore_params(model.params, load_checkpoint(path), str(path))
@@ -243,67 +258,65 @@ def load_model(config: PipelineConfig, stage: str):
 # training orchestration
 # ---------------------------------------------------------------------------
 
-def training_phantoms(config: PipelineConfig, count: Optional[int] = None) -> List[PhantomSample]:
+def phantom_set(
+    config: PipelineConfig, count: int, seed: int, negative_fraction: float
+) -> List[PhantomSample]:
+    """``count`` phantoms on the configured canvas and noise level."""
     return generate_dataset(
-        count or config.phantom.train_count,
-        seed=config.seed,
-        negative_fraction=config.phantom.negative_fraction,
+        count,
+        seed=seed,
+        negative_fraction=negative_fraction,
         image_size=config.phantom.image_size,
         noise_level=config.phantom.noise_level,
     )
+
+
+def training_phantoms(config: PipelineConfig, count: Optional[int] = None) -> List[PhantomSample]:
+    count = config.phantom.train_count if count is None else count
+    return phantom_set(config, count, config.seed, config.phantom.negative_fraction)
 
 
 def holdout_phantoms(config: PipelineConfig, count: Optional[int] = None) -> List[PhantomSample]:
     # disjoint master seed stream from training
-    return generate_dataset(
-        count or config.phantom.holdout_count,
-        seed=config.seed + 10_000,
-        negative_fraction=config.phantom.negative_fraction,
-        image_size=config.phantom.image_size,
-        noise_level=config.phantom.noise_level,
-    )
+    count = config.phantom.holdout_count if count is None else count
+    return phantom_set(config, count, config.seed + 10_000, config.phantom.negative_fraction)
 
 
-def _optimizer(settings: TrainSettings) -> OptimizerConfig:
-    return OptimizerConfig(
-        kind="adaptive", learning_rate=settings.learning_rate, batch_size=settings.batch_size
+def _fit_stage(config: PipelineConfig, stage: str, train, dataset, log_fn: LogFn):
+    """Build one stage's network, fit it to ``dataset`` with the stage's
+    TrainSettings and save its checkpoint."""
+    build, geometry, checkpoint, settings = STAGES[stage]
+    settings = getattr(config, settings)
+    model, history = train(
+        build(getattr(config, geometry), seed=config.seed),
+        dataset,
+        epochs=settings.epochs,
+        optimizer=OptimizerConfig(
+            kind="adaptive", learning_rate=settings.learning_rate, batch_size=settings.batch_size
+        ),
+        seed=config.seed,
+        log_fn=log_fn,
     )
+    path = getattr(config, checkpoint)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(path, model.params)
+    return model, history
 
 
 def train_segmentation_stage(
     config: PipelineConfig, samples: Optional[Sequence[PhantomSample]] = None, log_fn: LogFn = None
 ) -> Tuple[SegmentationModel, List[float]]:
     samples = samples if samples is not None else training_phantoms(config)
-    model = build_unet(config.unet, seed=config.seed)
-    model, history = train_segmentation(
-        model,
-        segmentation_data(samples),
-        epochs=config.seg_train.epochs,
-        optimizer=_optimizer(config.seg_train),
-        seed=config.seed,
-        log_fn=log_fn,
-    )
-    config.seg_checkpoint.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(config.seg_checkpoint, model.params)
-    return model, history
+    return _fit_stage(config, "segmentation", train_segmentation, segmentation_data(samples), log_fn)
 
 
 def train_roi_stage(
     config: PipelineConfig, samples: Optional[Sequence[PhantomSample]] = None, log_fn: LogFn = None
 ) -> Tuple[RoiModel, List[float]]:
     samples = samples if samples is not None else training_phantoms(config)
-    model = build_rpn(config.rpn, seed=config.seed)
-    model, history = train_roi(
-        model,
-        roi_data(samples, config.rpn.input_size),
-        epochs=config.roi_train.epochs,
-        optimizer=_optimizer(config.roi_train),
-        seed=config.seed,
-        log_fn=log_fn,
+    return _fit_stage(
+        config, "localization", train_roi, roi_data(samples, config.rpn.input_size), log_fn
     )
-    config.roi_checkpoint.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(config.roi_checkpoint, model.params)
-    return model, history
 
 
 def train_age_stage(
@@ -321,17 +334,8 @@ def train_age_stage(
     if seg_model is None:
         seg_model = load_model(config, "segmentation")
     atlas = build_phantom_atlas(config)
-    model = build_age_model(config.age, seed=config.seed)
-    model, history = train_age(
-        model,
-        age_data_deployed(samples, atlas, config.age.input_size, seg_model, seed=config.seed),
-        epochs=config.age_train.epochs,
-        optimizer=_optimizer(config.age_train),
-        seed=config.seed,
-        log_fn=log_fn,
-    )
-    config.age_checkpoint.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(config.age_checkpoint, model.params)
+    dataset = age_data_deployed(samples, atlas, config.age.input_size, seg_model, seed=config.seed)
+    model, history = _fit_stage(config, "age", train_age, dataset, log_fn)
     save_atlas(atlas, config.atlas_manifest)
     return model, atlas, history
 
@@ -363,11 +367,11 @@ class Pipeline:
 
         Every artifact is checked for presence before any is read.
         """
-        for stage in _MODELS:
+        for stage in STAGES:
             _checkpoint_path(config, stage)
         if not Path(config.atlas_manifest).is_file():
             raise StartupError(f"age: atlas manifest missing at {config.atlas_manifest}")
-        models = [load_model(config, stage) for stage in _MODELS]
+        models = [load_model(config, stage) for stage in STAGES]
         with _stage("age"):
             atlas = load_atlas(config.atlas_manifest)
         return cls(config, *models, atlas)

@@ -148,6 +148,16 @@ def test_train_commands_wrote_checkpoints(workspace):
     assert len(list((out / "atlas").glob("atlas_class_*.pgm"))) == 12
 
 
+@pytest.mark.parametrize("command", ["train-seg", "train-roi", "train-age"])
+def test_zero_epochs_fails_before_training(workspace, tmp_path, capsys, command):
+    _, ini = workspace
+    out = tmp_path / "o"
+    argv = [command, "--count", "4", "--epochs", "0", *_args(ini), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: epochs must be >= 1, got 0")
+    assert not out.exists()
+
+
 def test_segment_command(workspace, capsys):
     root, ini = workspace
     image = root / "out" / "phantoms" / "ph0000.pgm"

@@ -1,11 +1,28 @@
 """INI configuration loading: defaults, overrides, and strictness."""
 
+import configparser
+import dataclasses
+import re
 from pathlib import Path
 
 import pytest
 
-from boneage.config import PipelineConfig, TrainSettings, load_config
+from boneage import cli
+from boneage.age_estimation import AgeConfig
+from boneage.augmentation import AugmentationSpec
+from boneage.config import (
+    _SCHEMA,
+    PhantomSettings,
+    PipelineConfig,
+    TrainSettings,
+    load_config,
+    rebase_out,
+)
 from boneage.errors import ConfigError
+from boneage.roi import RpnConfig
+from boneage.segmentation import UNetConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_defaults_without_a_file():
@@ -147,3 +164,153 @@ def test_train_settings_validation():
         TrainSettings(epochs=1, learning_rate=0.0, batch_size=1)
     with pytest.raises(ConfigError):
         TrainSettings(epochs=1, learning_rate=0.1, batch_size=0)
+
+
+def test_zero_epochs_rejected():
+    with pytest.raises(ConfigError, match="epochs must be >= 1, got 0"):
+        TrainSettings(epochs=0, learning_rate=0.1, batch_size=1)
+
+
+def test_defaults_are_the_dataclass_defaults(tmp_path):
+    p = tmp_path / "empty.ini"
+    p.write_text("")
+    assert load_config() == PipelineConfig()
+    assert load_config(p) == PipelineConfig()
+
+
+# every schema key at a value that differs from its default, and from
+# every neighbouring field's value, so a row aimed at the wrong field shows
+EVERY_KEY_INI = """
+[paths]
+out_dir = o
+seg_checkpoint = c/seg.bin
+roi_checkpoint = c/roi.bin
+age_checkpoint = c/age.bin
+atlas_manifest = c/atlas/m.txt
+
+[pipeline]
+seed = 7
+confidence_threshold = 0.25
+
+[augmentation]
+shift_stride = 5
+shift_counts_x = 2
+shift_counts_y = 5
+rotations = 0, 10.5
+flips = yes
+
+[segmentation]
+depth = 2
+base_channels = 4
+input_width = 48
+input_height = 32
+threshold = 0.4
+epochs = 5
+learning_rate = 0.01
+batch_size = 2
+
+[roi]
+channels = 4, 8
+input_width = 64
+input_height = 48
+hidden = 16
+epochs = 6
+learning_rate = 0.02
+batch_size = 3
+
+[age]
+crop_width = 32
+crop_height = 48
+channels = 2, 4, 8
+hidden = 24
+num_classes = 10
+epochs = 7
+learning_rate = 0.03
+batch_size = 5
+
+[phantom]
+width = 56
+height = 40
+noise_level = 0.1
+train_count = 11
+holdout_count = 6
+negative_fraction = 0.5
+"""
+
+
+def _leaves(obj, prefix=""):
+    if not dataclasses.is_dataclass(obj):
+        return {prefix: obj}
+    out = {}
+    for f in dataclasses.fields(obj):
+        out.update(_leaves(getattr(obj, f.name), f"{prefix}.{f.name}"))
+    return out
+
+
+def test_every_schema_key_sets_its_own_field(tmp_path):
+    p = tmp_path / "every.ini"
+    p.write_text(EVERY_KEY_INI)
+    parser = configparser.ConfigParser()
+    parser.read_string(EVERY_KEY_INI)
+    assert {s: set(parser[s]) for s in parser.sections()} == {
+        s: set(keys) for s, keys in _SCHEMA.items()
+    }
+    c = tmp_path / "c"
+    want = PipelineConfig(
+        seed=7,
+        out_dir=tmp_path / "o",
+        seg_checkpoint=c / "seg.bin",
+        roi_checkpoint=c / "roi.bin",
+        age_checkpoint=c / "age.bin",
+        atlas_manifest=c / "atlas" / "m.txt",
+        confidence_threshold=0.25,
+        augmentation=AugmentationSpec(
+            shift_stride=5, shift_counts_x=2, shift_counts_y=5,
+            rotations=(0.0, 10.5), flips=(True,),
+        ),
+        unet=UNetConfig(depth=2, base_channels=4, input_size=(48, 32), threshold=0.4),
+        rpn=RpnConfig(backbone_channels=(4, 8), input_size=(64, 48), hidden=16),
+        age=AgeConfig(input_size=(32, 48), backbone_channels=(2, 4, 8), hidden=24, num_classes=10),
+        seg_train=TrainSettings(epochs=5, learning_rate=0.01, batch_size=2),
+        roi_train=TrainSettings(epochs=6, learning_rate=0.02, batch_size=3),
+        age_train=TrainSettings(epochs=7, learning_rate=0.03, batch_size=5),
+        phantom=PhantomSettings(
+            image_size=(56, 40), noise_level=0.1, train_count=11,
+            holdout_count=6, negative_fraction=0.5,
+        ),
+    )
+    defaults = _leaves(PipelineConfig())
+    assert all(v != defaults[k] for k, v in _leaves(want).items())
+    assert load_config(p) == want
+
+
+def test_readme_example_loads(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    p = tmp_path / "readme.ini"
+    p.write_text(blocks[0])
+    cfg = load_config(p)
+    assert cfg.out_dir == tmp_path / "runs" / "a"
+    assert cfg.seg_checkpoint == tmp_path / "runs" / "a" / "seg.ckpt"
+
+
+def test_rebase_moves_only_paths_under_out_dir():
+    cfg = PipelineConfig(seg_checkpoint=Path("/elsewhere/seg.ckpt"))
+    rebase_out(cfg, Path("new"))
+    assert cfg.out_dir == Path("new")
+    assert cfg.seg_checkpoint == Path("/elsewhere/seg.ckpt")
+    assert cfg.roi_checkpoint == Path("new/roi.ckpt")
+    assert cfg.atlas_manifest == Path("new/atlas/atlas.txt")
+
+
+def test_out_flag_leaves_artifacts_outside_out_dir_alone(tmp_path):
+    p = tmp_path / "cfg.ini"
+    p.write_text(f"[paths]\nout_dir = run\nseg_checkpoint = {tmp_path}/keep/seg.ckpt\n")
+    args = cli._build_parser().parse_args(
+        ["selftest", "--config", str(p), "--out", str(tmp_path / "new")]
+    )
+    cfg = cli._load_config(args)
+    assert cfg.out_dir == tmp_path / "new"
+    assert cfg.seg_checkpoint == tmp_path / "keep" / "seg.ckpt"
+    assert cfg.roi_checkpoint == tmp_path / "new" / "roi.ckpt"
+    assert cfg.atlas_manifest == tmp_path / "new" / "atlas" / "atlas.txt"

@@ -4,11 +4,13 @@ The end-to-end cases ride on the session-scoped trained stack, so they
 score real checkpoints without retraining per test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from boneage.checkpoint import save_checkpoint
-from boneage.errors import CheckpointError, StartupError
+from boneage.errors import CheckpointError, ContractError, StartupError
 from boneage.imaging import save_image
 from boneage.phantom import PhantomSpec, generate_phantom
 from boneage.segmentation import build_unet
@@ -94,6 +96,15 @@ def test_training_and_holdout_streams_are_disjoint(tmp_path):
     train_bytes = {s.image.pixels.tobytes() for s in train}
     held_bytes = {s.image.pixels.tobytes() for s in held}
     assert not (train_bytes & held_bytes)
+
+
+@pytest.mark.parametrize("phantoms", [training_phantoms, holdout_phantoms])
+def test_zero_count_is_not_the_configured_count(tmp_path, phantoms):
+    cfg = make_config(tmp_path)
+    cfg.phantom = replace(cfg.phantom, train_count=3, holdout_count=3)
+    assert len(phantoms(cfg)) == 3
+    with pytest.raises(ContractError, match="dataset size must be >= 1, got 0"):
+        phantoms(cfg, 0)
 
 
 # ---------------------------------------------------------------------------
