@@ -170,7 +170,7 @@ class AgeConfig(nn.InputPlane):
     def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
-        nn.check_trunk_config(self.backbone_channels, self.input_size)
+        nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
 
 
 @dataclass

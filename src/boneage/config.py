@@ -187,7 +187,9 @@ def load_config(path=None) -> PipelineConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value reaches _parse and fails there,
+    # naming its section and key
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:

@@ -99,9 +99,13 @@ def check_divisible(input_size: Tuple[int, int], pools: int) -> None:
         raise ConfigError(f"input extents {w}x{h} must be divisible by {div}")
 
 
-def check_trunk_config(channels: Tuple[int, ...], input_size: Tuple[int, int]) -> None:
+def check_trunk_config(channels: Tuple[int, ...], input_size: Tuple[int, int], hidden: int) -> None:
     if not channels:
         raise ConfigError("backbone_channels is empty")
+    if min(channels) < 1:
+        raise ConfigError(f"backbone_channels must all be >= 1, got {channels}")
+    if hidden < 1:
+        raise ConfigError(f"hidden must be >= 1, got {hidden}")
     check_divisible(input_size, len(channels))
 
 

@@ -144,7 +144,7 @@ class RpnConfig(nn.InputPlane):
     hidden: int = 64
 
     def __post_init__(self):
-        nn.check_trunk_config(self.backbone_channels, self.input_size)
+        nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
 
 
 @dataclass

@@ -204,6 +204,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     """Cross-correlation of an NCHW batch with an FCkHkW kernel stack.
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
+
+    Lowered to GEMMs (im2col): the forward multiplies the (F, C*kh*kw)
+    kernel matrix by the (C*kh*kw, N*Ho*Wo) column matrix of the padded
+    input's windows, which is not kept for the backward pass. Backward
+    takes dW against the windows in (N*Ho*Wo, C*kh*kw) layout and the
+    column gradients as kernel.T @ g through a BLAS transpose flag,
+    scatters those back channel-major, and skips dx (None) for an input
+    that does not require grad.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -227,55 +235,69 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     else:
         xp = x.data
-    cols = _im2col_view(xp, kh, kw, stride)
-    # out[n,f,i,j] = sum_{c,p,q} kernel[f,c,p,q] * cols[n,c,p,q,i,j]
-    out = np.tensordot(kernel.data, cols, axes=([1, 2, 3], [1, 2, 3]))
+    view = _im2col_view(xp, kh, kw, stride)
+    ho, wo = view.shape[4], view.shape[5]
+    k2 = kernel.data.reshape(f, c * kh * kw)
+    cols = view.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * ho * wo)
+    # out[n,f,i,j] = sum_{c,p,q} kernel[f,c,p,q] * view[n,c,p,q,i,j]
+    out = np.dot(k2, cols).reshape(f, n, ho, wo)
     out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     out += bias.data.reshape(1, f, 1, 1)
 
-    ho, wo = out.shape[2], out.shape[3]
-
     def bwd(g: np.ndarray):
         db = g.sum(axis=(0, 2, 3))
-        dw = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))
-        # scatter column gradients back into the (padded) input
-        dcols = np.tensordot(kernel.data, g, axes=([0], [1]))  # (C,kh,kw,N,Ho,Wo)
-        dxp = np.zeros_like(xp)
+        g2 = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
+        # dW keeps its (N*Ho*Wo, C*kh*kw) copy, freed right after the GEMM:
+        # with cols.T as a transposed operand BLAS sums some shapes
+        # (C*kh*kw = 9, F = 1) in another order, and the trained weights drift
+        dw = np.dot(g2, view.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, c * kh * kw))
+        dw = dw.reshape(kernel.shape)
+        if not x.requires_grad:
+            return None, dw, db
+        dcols = (k2.T @ g2).reshape(c, kh, kw, n, ho, wo)
+        # scatter column gradients back into the (padded) input, channel-major
+        dxp = np.zeros((c, n) + xp.shape[2:], dtype=np.float32)
         for p in range(kh):
             for q in range(kw):
-                dxp[:, :, p : p + ho * stride : stride, q : q + wo * stride : stride] += (
-                    dcols[:, p, q].transpose(1, 0, 2, 3)
-                )
+                dxp[:, :, p : p + ho * stride : stride, q : q + wo * stride : stride] += dcols[:, p, q]
+        dx = dxp.transpose(1, 0, 2, 3)
         if padding:
-            dx = dxp[:, :, padding : padding + h, padding : padding + w]
-        else:
-            dx = dxp
+            dx = dx[:, :, padding : padding + h, padding : padding + w]
         return dx, dw, db
 
     return _make_output(out, (x, kernel, bias), bwd)
 
 
+# the four cells of a 2x2 window, in the order ties are broken
+_POOL_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
 def max_pool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
-    """2x2 max pooling with stride 2; gradient flows to the argmax cell only."""
+    """2x2 max pooling with stride 2.
+
+    The output is the elementwise maximum of the four strided corner
+    views ``x[:, :, i::2, j::2]``. Backward routes each gradient to the
+    first maximal cell of its window in (0,0), (0,1), (1,0), (1,1) order,
+    so a tie (common among relu zeros) sends it to one cell only.
+    """
     x = _as_tensor(x)
     if window != 2 or stride != 2:
         raise ContractError("max_pool2d supports window=2, stride=2 only")
     if x.data.ndim != 4:
         raise DimensionError(f"max_pool2d expects a 4-d tensor, got {x.data.ndim}-d")
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise DimensionError(f"max_pool2d needs even extents, got {h}x{w}")
-    h2, w2 = h // 2, w // 2
-    windows = (
-        x.data.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
-    )
-    idx = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    corners = [x.data[:, :, i::2, j::2] for i, j in _POOL_CORNERS]
+    out = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
 
     def bwd(g: np.ndarray):
-        d4 = np.zeros((n, c, h2, w2, 4), dtype=np.float32)
-        np.put_along_axis(d4, idx[..., None], g[..., None], axis=-1)
-        dx = d4.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+        dx = np.empty_like(x.data)
+        free = np.ones(out.shape, dtype=bool)  # windows whose gradient is unrouted
+        for (i, j), corner in zip(_POOL_CORNERS, corners):
+            hit = (corner == out) & free
+            dx[:, :, i::2, j::2] = np.where(hit, g, np.float32(0.0))
+            free &= ~hit
         return (dx,)
 
     return _make_output(out, (x,), bwd)

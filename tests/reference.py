@@ -60,6 +60,83 @@ def max_pool2d_ref(x):
     return out
 
 
+def _conv_windows(x, kh, kw, stride, padding):
+    """float32 padded input and its strided (N, C, kh, kw, Ho, Wo) windows."""
+    xp = np.pad(np.asarray(x, dtype=np.float32), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c, h, w = xp.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, c, kh, kw, ho, wo),
+        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
+        writeable=False,
+    )
+    return xp, windows
+
+
+def conv2d_tensordot_ref(x, w, b, stride=1, padding=0):
+    """The package's conv2d forward as one float32 tensordot: its byte-exact oracle.
+
+    Unlike the float64 oracles here this one keeps float32 and the exact
+    operands of the GEMM (kernel as (F, C*kh*kw), windows as
+    (C*kh*kw, N*Ho*Wo)), so a rewrite of the lowering must match it byte
+    for byte, not to a tolerance.
+    """
+    w = np.asarray(w, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
+    _, windows = _conv_windows(x, w.shape[2], w.shape[3], stride, padding)
+    out = np.tensordot(w, windows, axes=([1, 2, 3], [1, 2, 3]))
+    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    out += b.reshape(1, -1, 1, 1)
+    return out
+
+
+def conv2d_tensordot_grads_ref(x, w, g, stride=1, padding=0):
+    """conv2d's backward by tensordot and a batch-major scatter: (dx, dw, db).
+
+    The byte-exact oracle for the backward rule, float32 like
+    ``conv2d_tensordot_ref``; ``g`` is the upstream output gradient.
+    """
+    w = np.asarray(w, dtype=np.float32)
+    g = np.asarray(g, dtype=np.float32)
+    kh, kw = w.shape[2], w.shape[3]
+    xp, windows = _conv_windows(x, kh, kw, stride, padding)
+    ho, wo = g.shape[2], g.shape[3]
+    db = g.sum(axis=(0, 2, 3))
+    dw = np.tensordot(g, windows, axes=([0, 2, 3], [0, 4, 5]))
+    dcols = np.tensordot(w, g, axes=([0], [1]))  # (C, kh, kw, N, Ho, Wo)
+    dxp = np.zeros_like(xp)
+    for p in range(kh):
+        for q in range(kw):
+            dxp[:, :, p : p + ho * stride : stride, q : q + wo * stride : stride] += (
+                dcols[:, p, q].transpose(1, 0, 2, 3)
+            )
+    h, wid = xp.shape[2] - 2 * padding, xp.shape[3] - 2 * padding
+    return dxp[:, :, padding : padding + h, padding : padding + wid], dw, db
+
+
+def max_pool2d_argmax_ref(x, g):
+    """2x2/2 max-pool by argmax over each window, float32: (out, dx).
+
+    ``dx`` routes each upstream gradient ``g`` to the first maximal cell
+    of its window in (0,0), (0,1), (1,0), (1,1) order, the rule argmax
+    applies to ties; the package's pool must match both byte for byte.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    g = np.asarray(g, dtype=np.float32)
+    n, c, h, w = x.shape
+    h2, w2 = h // 2, w // 2
+    windows = x.reshape(n, c, h2, 2, w2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h2, w2, 4)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    d4 = np.zeros((n, c, h2, w2, 4), dtype=np.float32)
+    np.put_along_axis(d4, idx[..., None], g[..., None], axis=-1)
+    dx = d4.reshape(n, c, h2, w2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return out, dx
+
+
 def dense_ref(x, w, b):
     """(N, D) @ (D, M) + (M,), accumulated with python loops."""
     x = np.asarray(x, dtype=np.float64)

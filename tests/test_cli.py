@@ -289,6 +289,22 @@ def test_eval_rejects_mismatched_ids(workspace, tmp_path, capsys):
     assert "id mismatch" in capsys.readouterr().err
 
 
+def test_percent_in_config_exits_with_error(tmp_path, capsys):
+    ini = tmp_path / "f.ini"
+    ini.write_text("[pipeline]\nseed = 5%\n")
+    assert main(["selftest", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err.startswith("error: [pipeline] seed: cannot parse '5%'")
+
+
+def test_train_roi_rejects_zero_channels_before_training(tmp_path, capsys):
+    ini = tmp_path / "f.ini"
+    ini.write_text(TINY_INI.replace("channels = 2,4", "channels = 0, -4", 1)
+                   + f"\n[paths]\nout_dir = {tmp_path}/out\n")
+    assert main(["train-roi", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err.startswith("error: backbone_channels must all be >= 1")
+    assert not (tmp_path / "out" / "roi.ckpt").exists()
+
+
 def test_selftest_passes_on_the_bundled_table(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -137,6 +137,30 @@ def test_unparsable_value_names_section_and_key(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("raw", ["5%", "%(seed)s"])
+def test_percent_in_a_value_names_section_and_key(tmp_path, raw):
+    p = tmp_path / "cfg.ini"
+    p.write_text(f"[pipeline]\nseed = {raw}\n")
+    with pytest.raises(ConfigError, match=re.escape(f"[pipeline] seed: cannot parse {raw!r}")):
+        load_config(p)
+
+
+@pytest.mark.parametrize(
+    "section, key, raw, message",
+    [
+        ("roi", "channels", "0, -4", "backbone_channels must all be >= 1"),
+        ("age", "channels", "8, 0, 32", "backbone_channels must all be >= 1"),
+        ("roi", "hidden", "0", "hidden must be >= 1, got 0"),
+        ("age", "hidden", "-3", "hidden must be >= 1, got -3"),
+    ],
+)
+def test_trunk_widths_below_one_rejected_at_load(tmp_path, section, key, raw, message):
+    p = tmp_path / "cfg.ini"
+    p.write_text(f"[{section}]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=message):
+        load_config(p)
+
+
 def test_invalid_geometry_propagates_as_config_error(tmp_path):
     p = tmp_path / "cfg.ini"
     p.write_text("[segmentation]\ninput_width = 100\n")  # 100 % 8 != 0

@@ -11,8 +11,11 @@ from reference import (
     bce_ref,
     concat_channels_ref,
     conv2d_ref,
+    conv2d_tensordot_grads_ref,
+    conv2d_tensordot_ref,
     dense_ref,
     dice_ref,
+    max_pool2d_argmax_ref,
     max_pool2d_ref,
     mse_ref,
     numeric_grad,
@@ -129,6 +132,114 @@ def test_activation_forward(seed):
     np.testing.assert_allclose(T.relu(T.Tensor(x)).data, relu_ref(x), atol=1e-6)
     np.testing.assert_allclose(T.sigmoid(T.Tensor(x)).data, sigmoid_ref(x), atol=1e-6)
     np.testing.assert_allclose(T.softmax_rows(T.Tensor(x)).data, softmax_rows_ref(x), atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# byte-exact kernels: conv2d's GEMM lowering and max_pool2d's tie rule
+# ---------------------------------------------------------------------------
+
+# (N, C, H, W, F, k, stride, padding): 1x1 convs at N=1 and C=1, the
+# first layer of every net (C=1), the U-Net head and its largest layer
+CONV_SHAPES = [
+    (1, 1, 5, 7, 1, 1, 1, 0),
+    (1, 1, 6, 4, 3, 1, 1, 0),
+    (1, 3, 4, 4, 1, 1, 1, 0),
+    (4, 1, 64, 96, 8, 3, 1, 1),
+    (4, 8, 64, 96, 1, 1, 1, 0),
+    (4, 24, 64, 96, 8, 3, 1, 1),
+    (2, 5, 9, 11, 4, 3, 2, 1),
+]
+
+
+def _random_conv_shape(seed):
+    rng = np.random.default_rng(500 + seed)
+    k = int(rng.choice([1, 2, 3]))
+    return (
+        int(rng.integers(1, 5)), int(rng.integers(1, 9)),
+        int(rng.integers(k, 20)), int(rng.integers(k, 20)),
+        int(rng.integers(1, 9)), k, int(rng.integers(1, 3)), int(rng.integers(0, 2)),
+    )
+
+
+@pytest.mark.parametrize("shape", CONV_SHAPES + [_random_conv_shape(s) for s in SEEDS])
+def test_conv2d_is_byte_identical_to_tensordot(shape):
+    n, c, h, w, f, k, stride, padding = shape
+    rng = np.random.default_rng(sum(shape))
+    x = np.maximum(rng.standard_normal((n, c, h, w)), 0.0).astype(np.float32)
+    kern = rng.standard_normal((f, c, k, k)).astype(np.float32)
+    b = rng.standard_normal(f).astype(np.float32)
+    xt = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape:
+        got = T.conv2d(xt, T.Tensor(kern), T.Tensor(b), stride=stride, padding=padding)
+    want = conv2d_tensordot_ref(x, kern, b, stride=stride, padding=padding)
+    assert got.data.shape == want.shape
+    assert got.data.tobytes() == want.tobytes()
+    g = rng.standard_normal(want.shape).astype(np.float32)
+    grads = tape._entries[-1].backward_fn(g)
+    for got_g, want_g in zip(grads, conv2d_tensordot_grads_ref(x, kern, g, stride, padding)):
+        assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes()
+
+
+def _pool_with_grad(x, g):
+    """Forward output and the pool's own backward rule applied to ``g``."""
+    xt = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape:
+        out = T.max_pool2d(xt)
+    (dx,) = tape._entries[-1].backward_fn(g)
+    return out.data, np.asarray(dx)
+
+
+def _assert_pool_matches_argmax(x, g):
+    out, dx = _pool_with_grad(x, g)
+    want_out, want_dx = max_pool2d_argmax_ref(x, g)
+    assert out.tobytes() == want_out.tobytes()
+    assert dx.shape == want_dx.shape and dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_max_pool2d_is_byte_identical_to_argmax_with_ties(seed):
+    rng = np.random.default_rng(600 + seed)
+    n, c = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    h, w = 2 * int(rng.integers(1, 9)), 2 * int(rng.integers(1, 9))
+    # a few integer levels, relu'd: most windows hold 2-4 equal values,
+    # many of them zeros
+    x = np.maximum(rng.integers(-3, 3, size=(n, c, h, w)), 0).astype(np.float32)
+    if seed % 2:
+        x += rng.standard_normal(x.shape).astype(np.float32) * (x > 1)
+    g = rng.standard_normal((n, c, h // 2, w // 2)).astype(np.float32)
+    _assert_pool_matches_argmax(x, g)
+
+
+def test_max_pool2d_routes_ties_to_the_first_maximal_cell():
+    # one 2x2 window per pattern; each row lists (0,0), (0,1), (1,0), (1,1)
+    patterns = [
+        [0, 0, 0, 0], [1, 1, 1, 1], [0, 2, 2, 0], [0, 0, 2, 2], [0, 1, 0, 1],
+        [3, 1, 3, 3], [1, 3, 3, 3], [0, 0, 0, 1], [-1, -1, -2, -1], [2, 0, 0, 2],
+    ]
+    x = np.array(patterns, dtype=np.float32).reshape(1, len(patterns), 2, 2)
+    g = np.arange(1, len(patterns) + 1, dtype=np.float32).reshape(1, len(patterns), 1, 1)
+    _assert_pool_matches_argmax(x, g)
+
+
+def test_conv2d_input_without_grad_gets_none_and_the_same_parameter_grads():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((3, 2, 9, 7)).astype(np.float32)
+    kern = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    target = T.Tensor(rng.standard_normal((3, 4, 9, 7)).astype(np.float32))
+
+    def run(x_requires_grad):
+        xt = T.Tensor(x, requires_grad=x_requires_grad)
+        kt, bt = T.Tensor(kern, requires_grad=True), T.Tensor(b, requires_grad=True)
+        with T.Tape() as tape:
+            tape.backward(T.loss(T.conv2d(xt, kt, bt, padding=1), target, "mse"))
+        return xt, kt, bt
+
+    x0, k0, b0 = run(False)
+    x1, k1, b1 = run(True)
+    assert x0.grad is None and x1.grad is not None
+    assert k0.grad.tobytes() == k1.grad.tobytes()
+    assert b0.grad.tobytes() == b1.grad.tobytes()
 
 
 def test_loss_rejects_unknown_kind_and_shape_mismatch():
