@@ -1,9 +1,9 @@
 """Bone-age estimation from a joint crop.
 
-A reference atlas holds twelve exemplar crops — six ages per sex at
-twelve-month steps (default 120..180 months). The model is one conv
-trunk with two heads sharing its feature vector: a 12-way softmax that
-scores similarity of the crop to each atlas class, and a regression
+The reference atlas is a fixed table of twelve (sex, age) classes: six
+ages per sex at twelve-month steps (120..180 months). The model is one
+conv trunk with two heads sharing its feature vector: a 12-way softmax
+that scores the crop's similarity to each atlas class, and a regression
 head that emits a continuous age. The regressed age is the estimate;
 the class scores carry the similarity ranking and the nearest class.
 """
@@ -11,80 +11,19 @@ the class scores carry the similarity ranking and the nearest class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import nn
-from .errors import ConfigError, ContractError, DimensionError, ImageIOError, TrainingError
-from .imaging import GrayImage, load_image, save_image
+from .errors import ContractError, DimensionError, ImageIOError, TrainingError
+from .imaging import GrayImage
 from .optim import OptimizerConfig
 from .tensor import Tensor, add, dense, loss, softmax_cross_entropy
 
 AGE_NORM = 180.0
-
-
-@dataclass
-class AtlasEntry:
-    sex: str
-    age_months: float
-    image: GrayImage
-
-
-@dataclass
-class ReferenceAtlas:
-    """Twelve exemplar crops: six ages per sex at uniform 12-month steps."""
-
-    entries: List[AtlasEntry]
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        if len(self.entries) != 12:
-            raise ContractError(f"atlas needs exactly 12 entries, got {len(self.entries)}")
-        pairs = [(e.sex, float(e.age_months)) for e in self.entries]
-        if len(set(pairs)) != len(pairs):
-            raise ContractError("atlas (sex, age) pairs must be unique")
-        for sex in ("female", "male"):
-            ages = sorted(a for s, a in pairs if s == sex)
-            if len(ages) != 6:
-                raise ContractError(f"atlas needs 6 ages for sex {sex!r}, got {len(ages)}")
-            steps = {round(b - a, 6) for a, b in zip(ages, ages[1:])}
-            if steps != {12.0}:
-                raise ContractError(f"atlas ages for {sex!r} must step by 12 months, got {ages}")
-            if min(ages) <= 0:
-                raise ContractError("atlas ages must be positive")
-
-    @property
-    def ages(self) -> List[float]:
-        return [float(e.age_months) for e in self.entries]
-
-    @property
-    def min_age(self) -> float:
-        return min(self.ages)
-
-    @property
-    def max_age(self) -> float:
-        return max(self.ages)
-
-    @property
-    def age_step(self) -> float:
-        return 12.0
-
-    def class_of(self, sex: str, age_months: float) -> int:
-        """Index of the atlas entry of this sex with the nearest age."""
-        if sex not in ("female", "male"):
-            raise ContractError(f"sex must be 'female' or 'male', got {sex!r}")
-        best, best_d = -1, float("inf")
-        for i, e in enumerate(self.entries):
-            if e.sex != sex:
-                continue
-            d = abs(float(e.age_months) - age_months)
-            if d < best_d:
-                best, best_d = i, d
-        return best
 
 
 def default_atlas_classes() -> List[Tuple[str, float]]:
@@ -92,50 +31,81 @@ def default_atlas_classes() -> List[Tuple[str, float]]:
     return [(sex, 120.0 + 12.0 * i) for sex in ("female", "male") for i in range(6)]
 
 
-def save_atlas(atlas: ReferenceAtlas, manifest_path) -> None:
-    """Write the manifest plus one PGM crop per class next to it.
+NUM_CLASSES = len(default_atlas_classes())
 
-    Manifest lines are `class_id sex age_months image_path`, paths
-    relative to the manifest's directory.
+
+@dataclass(frozen=True)
+class ReferenceAtlas:
+    """The (sex, age_months) class table; class i is row i.
+
+    The table is fixed: anything other than ``default_atlas_classes()``,
+    in that order, is rejected when the atlas is built.
     """
+
+    classes: Tuple[Tuple[str, float], ...] = tuple(default_atlas_classes())
+
+    def __post_init__(self):
+        if tuple(self.classes) != tuple(default_atlas_classes()):
+            raise ContractError(
+                f"atlas must be the class table {default_atlas_classes()}, got {list(self.classes)}"
+            )
+
+    @property
+    def min_age(self) -> float:
+        return min(age for _, age in self.classes)
+
+    @property
+    def max_age(self) -> float:
+        return max(age for _, age in self.classes)
+
+    @property
+    def age_step(self) -> float:
+        return 12.0
+
+    def class_of(self, sex: str, age_months: float) -> int:
+        """Index of the class of this sex with the nearest age."""
+        if sex not in ("female", "male"):
+            raise ContractError(f"sex must be 'female' or 'male', got {sex!r}")
+        best, best_d = -1, float("inf")
+        for i, (class_sex, class_age) in enumerate(self.classes):
+            if class_sex != sex:
+                continue
+            d = abs(class_age - age_months)
+            if d < best_d:
+                best, best_d = i, d
+        return best
+
+
+def _manifest_lines(atlas: ReferenceAtlas) -> List[str]:
+    return [f"{class_id} {sex} {age:g}" for class_id, (sex, age) in enumerate(atlas.classes)]
+
+
+def save_atlas(atlas: ReferenceAtlas, manifest_path) -> None:
+    """Write the manifest: one `class_id sex age_months` line per class."""
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    lines = []
-    for class_id, entry in enumerate(atlas.entries):
-        name = f"atlas_class_{class_id:02d}.pgm"
-        save_image(entry.image, manifest_path.parent / name)
-        lines.append(f"{class_id} {entry.sex} {entry.age_months:g} {name}")
-    manifest_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    manifest_path.write_text("\n".join(_manifest_lines(atlas)) + "\n", encoding="ascii")
 
 
 def load_atlas(manifest_path) -> ReferenceAtlas:
-    """Read a manifest written by save_atlas."""
+    """Read a manifest written by save_atlas.
+
+    The table is fixed, so any other content fails, naming the first
+    line that differs from it.
+    """
     manifest_path = Path(manifest_path)
     try:
-        text = manifest_path.read_text(encoding="ascii")
+        text = manifest_path.read_text(encoding="ascii", errors="replace")
     except OSError as exc:
         raise ImageIOError(f"cannot read atlas manifest {manifest_path}: {exc}") from exc
-    rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 4:
+    atlas = ReferenceAtlas()
+    lines = zip_longest(_manifest_lines(atlas), text.splitlines(), fillvalue="")
+    for lineno, (want, got) in enumerate(lines, start=1):
+        if got.split() != want.split():
             raise ContractError(
-                f"{manifest_path}:{lineno}: expected 'class_id sex age_months image_path'"
+                f"{manifest_path}:{lineno}: expected {want or 'end of file'!r}, got {got!r}"
             )
-        try:
-            rows.append((int(parts[0]), parts[1], float(parts[2]), parts[3]))
-        except ValueError:
-            raise ContractError(f"{manifest_path}:{lineno}: malformed atlas line") from None
-    rows.sort(key=lambda r: r[0])
-    if [r[0] for r in rows] != list(range(len(rows))):
-        raise ContractError(f"{manifest_path}: class ids must be 0..{len(rows) - 1}")
-    entries = [
-        AtlasEntry(sex=sex, age_months=age, image=load_image(manifest_path.parent / rel))
-        for _, sex, age, rel in rows
-    ]
-    return ReferenceAtlas(entries=entries)
+    return atlas
 
 
 @dataclass
@@ -165,11 +135,8 @@ class AgeConfig(nn.InputPlane):
     input_size: Tuple[int, int] = (64, 64)
     backbone_channels: Tuple[int, ...] = (8, 16, 32)
     hidden: int = 64
-    num_classes: int = 12
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
         nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
 
 
@@ -184,7 +151,7 @@ def build_age_model(config: AgeConfig = AgeConfig(), seed: int = 0) -> AgeModel:
     rng = np.random.default_rng(seed)
     params: Dict[str, Tensor] = {}
     nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
-    nn.init_dense(params, rng, "head_class", config.hidden, config.num_classes)
+    nn.init_dense(params, rng, "head_class", config.hidden, NUM_CLASSES)
     nn.init_dense(params, rng, "head_reg", config.hidden, 1)
     return AgeModel(config=config, params=params)
 
@@ -219,12 +186,6 @@ def estimate_age(model: AgeModel, crop: GrayImage, atlas: ReferenceAtlas) -> Age
     to one atlas step beyond the atlas range; the similarity scores
     and nearest class come from the classification head.
     """
-    atlas.validate()
-    if len(atlas.entries) != model.config.num_classes:
-        raise ContractError(
-            f"atlas has {len(atlas.entries)} classes but model expects "
-            f"{model.config.num_classes}"
-        )
     logits, age_norm = age_forward(model, _crop_input(model, crop))
     z = logits.data[0].astype(np.float64)
     z -= z.max()
@@ -261,7 +222,7 @@ def train_age(
 
     n = len(dataset)
     crops = np.empty((n, 1, cfg.height, cfg.width), dtype=np.float32)
-    onehot = np.zeros((n, cfg.num_classes), dtype=np.float32)
+    onehot = np.zeros((n, NUM_CLASSES), dtype=np.float32)
     ages = np.empty((n, 1), dtype=np.float32)
     for i, (crop, age_months, class_index) in enumerate(dataset):
         if (crop.width, crop.height) != cfg.input_size:
@@ -269,9 +230,9 @@ def train_age(
                 f"sample {i}: crop must be {cfg.width}x{cfg.height}, "
                 f"got {crop.width}x{crop.height}"
             )
-        if not 0 <= int(class_index) < cfg.num_classes:
+        if not 0 <= int(class_index) < NUM_CLASSES:
             raise ContractError(
-                f"sample {i}: class index {class_index} outside [0, {cfg.num_classes})"
+                f"sample {i}: class index {class_index} outside [0, {NUM_CLASSES})"
             )
         if age_months <= 0:
             raise ContractError(f"sample {i}: age_months must be positive, got {age_months}")

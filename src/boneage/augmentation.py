@@ -48,12 +48,6 @@ class AugmentationSpec:
     def shifts_y(self) -> Tuple[int, ...]:
         return tuple(self.shift_stride * i for i in range(self.shift_counts_y))
 
-    @property
-    def variants_per_image(self) -> int:
-        return (
-            self.shift_counts_x * self.shift_counts_y * len(self.rotations) * len(self.flips)
-        )
-
 
 @dataclass
 class LabeledImage:

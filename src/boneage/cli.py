@@ -16,11 +16,13 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import pipeline as pl
+from .age_estimation import default_atlas_classes
 from .augmentation import LabeledImage, augment_dataset
 from .config import PipelineConfig, load_config, rebase_out
 from .errors import BoneAgeError, ContractError
 from .imaging import load_image, save_image
 from .metrics import evaluate, selftest_report
+from .phantom import AGE_MAX_MONTHS, AGE_MIN_MONTHS, PhantomSpec, generate_phantom
 from .roi import predict_roi, prepare_roi_input
 from .segmentation import segment
 
@@ -130,11 +132,19 @@ def _cmd_phantom(args, config: PipelineConfig) -> int:
 
 
 def _default_references(config: PipelineConfig) -> List[LabeledImage]:
-    exemplars = pl.class_phantoms(config, config.seed + 500_000, config.phantom.noise_level)
-    return [
-        LabeledImage.reference(sample.image, age, sex, ref_id=f"ref{i:02d}")
-        for i, (sex, age, sample) in enumerate(exemplars)
-    ]
+    """One phantom per atlas class, on the configured canvas and noise,
+    from a seed stream apart from the training phantoms'."""
+    refs = []
+    for i, (sex, age) in enumerate(default_atlas_classes()):
+        spec = PhantomSpec(
+            seed=config.seed + 500_000 + i,
+            maturity=(age - AGE_MIN_MONTHS) / (AGE_MAX_MONTHS - AGE_MIN_MONTHS),
+            sex=sex,
+            image_size=config.phantom.image_size,
+            noise_level=config.phantom.noise_level,
+        )
+        refs.append(LabeledImage.reference(generate_phantom(spec).image, age, sex, f"ref{i:02d}"))
+    return refs
 
 
 def _read_references(manifest: Path) -> List[LabeledImage]:

@@ -122,7 +122,7 @@ _SCHEMA = {
     "age": {
         "channels": ("age", "backbone_channels", None),
         **_size("age", "input_size", "crop_width", "crop_height"),
-        **_fields("age", "hidden", "num_classes"),
+        **_fields("age", "hidden"),
         **_fields("age_train", *_TRAIN_KEYS),
     },
     "phantom": {

@@ -18,14 +18,12 @@ import numpy as np
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .age_estimation import (
     AgeModel,
-    AtlasEntry,
     ReferenceAtlas,
     build_age_model,
-    default_atlas_classes,
     estimate_age,
     load_atlas,
     save_atlas,
@@ -36,14 +34,7 @@ from .config import PipelineConfig
 from .errors import BoneAgeError, StartupError
 from .imaging import GrayImage, load_image, resize_bilinear, save_image
 from .optim import OptimizerConfig
-from .phantom import (
-    AGE_MAX_MONTHS,
-    AGE_MIN_MONTHS,
-    PhantomSample,
-    PhantomSpec,
-    generate_dataset,
-    generate_phantom,
-)
+from .phantom import PhantomSample, generate_dataset
 from .roi import (
     PREPARED_HEIGHT,
     PREPARED_WIDTH,
@@ -132,13 +123,6 @@ def _prepared_box(s: PhantomSample) -> RoiBox:
     return transform_box_to_prepared(raw)
 
 
-def age_crop(sample: PhantomSample, crop_size: Tuple[int, int]) -> GrayImage:
-    """Joint crop from the exact mask and box (used for atlas exemplars)."""
-    bone = resize_bilinear(masked_bone_image(sample), RAW_WIDTH, RAW_HEIGHT)
-    prepared = prepare_roi_input(bone)
-    return crop_roi(prepared, _prepared_box(sample), crop_size[0], crop_size[1])
-
-
 def _jitter_box(box: RoiBox, rng: np.random.Generator) -> RoiBox:
     """Perturb a box the way the localizer tends to miss: a little
     off-center and somewhat too large or too small."""
@@ -196,31 +180,10 @@ def age_data_deployed(
     return out
 
 
-def class_phantoms(
-    config: PipelineConfig, seed: int, noise_level: float
-) -> Iterator[Tuple[str, float, PhantomSample]]:
-    """One ``(sex, age_months, phantom)`` per default atlas class; class
-    ``i`` renders from ``seed + i`` on the configured canvas."""
-    for class_id, (sex, age) in enumerate(default_atlas_classes()):
-        spec = PhantomSpec(
-            seed=seed + class_id,
-            maturity=(age - AGE_MIN_MONTHS) / (AGE_MAX_MONTHS - AGE_MIN_MONTHS),
-            sex=sex,
-            image_size=config.phantom.image_size,
-            noise_level=noise_level,
-        )
-        yield sex, age, generate_phantom(spec)
-
-
-def build_phantom_atlas(
-    config: PipelineConfig, seed_offset: int = 900_000
-) -> ReferenceAtlas:
-    """Render one exemplar crop per (sex, age) class from noiseless phantoms."""
-    exemplars = class_phantoms(config, config.seed + seed_offset, noise_level=0.0)
-    return ReferenceAtlas(entries=[
-        AtlasEntry(sex=sex, age_months=age, image=age_crop(sample, config.age.input_size))
-        for sex, age, sample in exemplars
-    ])
+def build_phantom_atlas(config: PipelineConfig) -> ReferenceAtlas:
+    """The atlas the age stage trains and predicts against: the fixed
+    (sex, age) class table, the same for every configuration."""
+    return ReferenceAtlas()
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from boneage.age_estimation import (
     AgeConfig,
     AgeEstimate,
     ReferenceAtlas,
-    AtlasEntry,
     age_forward,
     build_age_model,
     default_atlas_classes,
@@ -28,14 +27,6 @@ def _crop(seed, size=(64, 64)):
     return GrayImage(rng.random((size[1], size[0]), dtype=np.float32))
 
 
-def _atlas(size=(64, 64)):
-    entries = [
-        AtlasEntry(sex=sex, age_months=age, image=_crop(hash((sex, age)) % 1000, size))
-        for sex, age in default_atlas_classes()
-    ]
-    return ReferenceAtlas(entries=entries)
-
-
 # ---------------------------------------------------------------------------
 # atlas
 # ---------------------------------------------------------------------------
@@ -51,76 +42,80 @@ def test_default_classes_are_six_ages_per_sex():
 
 
 def test_atlas_accepts_the_canonical_layout():
-    atlas = _atlas()
+    atlas = ReferenceAtlas()
+    assert list(atlas.classes) == default_atlas_classes()
     assert atlas.min_age == 120.0
     assert atlas.max_age == 180.0
     assert atlas.age_step == 12.0
 
 
-def test_atlas_rejects_wrong_count():
-    entries = _atlas().entries[:11]
-    with pytest.raises(ContractError, match="12"):
-        ReferenceAtlas(entries=entries)
+_DEFAULT = default_atlas_classes()
 
 
-def test_atlas_rejects_duplicate_class():
-    entries = _atlas().entries
-    entries[1] = AtlasEntry(sex=entries[0].sex, age_months=entries[0].age_months,
-                            image=entries[1].image)
-    with pytest.raises(ContractError, match="unique"):
-        ReferenceAtlas(entries=entries)
-
-
-def test_atlas_rejects_uneven_age_steps():
-    entries = _atlas().entries
-    bad = [
-        AtlasEntry(sex=e.sex, age_months=(126.0 if i == 1 else e.age_months), image=e.image)
-        for i, e in enumerate(entries)
-    ]
-    with pytest.raises(ContractError, match="12 months"):
-        ReferenceAtlas(entries=bad)
+@pytest.mark.parametrize(
+    "classes",
+    [
+        _DEFAULT[:11],
+        [_DEFAULT[0], *_DEFAULT[:11]],
+        [_DEFAULT[0], ("female", 126.0), *_DEFAULT[2:]],
+        [(sex, age - 60.0) for sex, age in _DEFAULT],
+        _DEFAULT[6:] + _DEFAULT[:6],
+    ],
+    ids=["wrong-count", "duplicate", "uneven-step", "shifted-ages", "reordered"],
+)
+def test_atlas_rejects_any_other_table(classes):
+    with pytest.raises(ContractError, match="class table"):
+        ReferenceAtlas(tuple(classes))
 
 
 def test_class_of_picks_nearest_age_of_matching_sex():
-    atlas = _atlas()
-    i = atlas.class_of("male", 141.0)
-    assert atlas.entries[i].sex == "male"
-    assert atlas.entries[i].age_months == 144.0
-    j = atlas.class_of("female", 120.0)
-    assert atlas.entries[j].sex == "female"
-    assert atlas.entries[j].age_months == 120.0
+    atlas = ReferenceAtlas()
+    assert atlas.classes[atlas.class_of("male", 141.0)] == ("male", 144.0)
+    assert atlas.classes[atlas.class_of("female", 120.0)] == ("female", 120.0)
     with pytest.raises(ContractError):
         atlas.class_of("other", 120.0)
 
 
 def test_atlas_save_load_roundtrip(tmp_path):
-    atlas = _atlas()
     manifest = tmp_path / "atlas" / "atlas.txt"
-    save_atlas(atlas, manifest)
-    back = load_atlas(manifest)
-    assert len(back.entries) == 12
-    for a, b in zip(atlas.entries, back.entries):
-        assert a.sex == b.sex
-        assert a.age_months == b.age_months
-        # PGM quantizes to 8 bits
-        np.testing.assert_allclose(a.image.pixels, b.image.pixels, atol=1.0 / 255.0)
+    save_atlas(ReferenceAtlas(), manifest)
+    assert load_atlas(manifest) == ReferenceAtlas()
+    assert manifest.read_text().splitlines()[11] == "11 male 180"
+    assert [p.name for p in manifest.parent.iterdir()] == ["atlas.txt"]
 
 
 def test_load_atlas_rejects_malformed_manifest(tmp_path):
     p = tmp_path / "atlas.txt"
-    p.write_text("0 female 120\n")  # missing image path
+    p.write_text("0 female\n")  # missing age
     with pytest.raises(ContractError, match="atlas.txt:1"):
         load_atlas(p)
 
 
 def test_load_atlas_rejects_gapped_class_ids(tmp_path):
-    atlas = _atlas()
     manifest = tmp_path / "atlas.txt"
-    save_atlas(atlas, manifest)
+    save_atlas(ReferenceAtlas(), manifest)
     lines = manifest.read_text().splitlines()
     lines[0] = "13" + lines[0][1:]
     manifest.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ContractError, match="class ids"):
+    with pytest.raises(ContractError, match="atlas.txt:1: expected '0 female 120', got '13 female 120'"):
+        load_atlas(manifest)
+
+
+@pytest.mark.parametrize(
+    "edit, lineno",
+    [
+        (lambda lines: lines[:11], 12),
+        (lambda lines: lines + ["12 male 192"], 13),
+        (lambda lines: [lines[0] + " atlas_class_00.pgm", *lines[1:]], 1),
+        (lambda lines: lines[:4] + ["4 female 168.5"] + lines[5:], 5),
+    ],
+    ids=["missing-class", "extra-class", "image-column", "other-age"],
+)
+def test_load_atlas_names_the_first_line_off_the_table(tmp_path, edit, lineno):
+    manifest = tmp_path / "atlas.txt"
+    save_atlas(ReferenceAtlas(), manifest)
+    manifest.write_text("\n".join(edit(manifest.read_text().splitlines())) + "\n")
+    with pytest.raises(ContractError, match=f"atlas.txt:{lineno}: expected"):
         load_atlas(manifest)
 
 
@@ -152,8 +147,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         AgeConfig(backbone_channels=())
     with pytest.raises(ConfigError):
-        AgeConfig(num_classes=1)
-    with pytest.raises(ConfigError):
         AgeConfig(input_size=(62, 64))
 
 
@@ -177,21 +170,21 @@ def test_zeroed_model_scores_uniformly():
     model = build_age_model(TINY, seed=0)
     for t in model.params.values():
         t.data[:] = 0.0
-    scores = estimate_age(model, _crop(1, (32, 32)), _atlas((32, 32))).class_scores
+    scores = estimate_age(model, _crop(1, (32, 32)), ReferenceAtlas()).class_scores
     np.testing.assert_allclose(scores, 1.0 / 12.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_similarity_is_a_distribution(seed):
     model = build_age_model(TINY, seed=seed)
-    scores = estimate_age(model, _crop(seed, (32, 32)), _atlas((32, 32))).class_scores
+    scores = estimate_age(model, _crop(seed, (32, 32)), ReferenceAtlas()).class_scores
     assert scores.shape == (12,)
     assert np.all(scores > 0.0)
     assert abs(scores.sum() - 1.0) <= 1e-6
 
 
 def test_estimate_age_clamps_to_one_step_past_the_atlas():
-    atlas = _atlas((32, 32))
+    atlas = ReferenceAtlas()
     model = build_age_model(TINY, seed=1)
     # force the regression head to an absurd output
     model.params["head_reg.b"].data[:] = 100.0
@@ -203,22 +196,12 @@ def test_estimate_age_clamps_to_one_step_past_the_atlas():
 
 
 def test_estimate_age_nearest_class_tracks_scores():
-    atlas = _atlas((32, 32))
+    atlas = ReferenceAtlas()
     model = build_age_model(TINY, seed=2)
     est = estimate_age(model, _crop(3, (32, 32)), atlas)
     assert est.nearest_class == int(np.argmax(est.class_scores))
     assert abs(est.class_scores.sum() - 1.0) <= 1e-6
     assert atlas.min_age - 12.0 <= est.age_months <= atlas.max_age + 12.0
-
-
-def test_estimate_age_checks_class_count():
-    atlas = _atlas((32, 32))
-    model = build_age_model(
-        AgeConfig(input_size=(32, 32), backbone_channels=(4, 8), hidden=16, num_classes=6),
-        seed=0,
-    )
-    with pytest.raises(ContractError, match="classes"):
-        estimate_age(model, _crop(4, (32, 32)), atlas)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +249,7 @@ def test_train_is_deterministic():
 def test_single_sample_overfit_recovers_the_age():
     from boneage.optim import OptimizerConfig
 
-    atlas = _atlas((32, 32))
+    atlas = ReferenceAtlas()
     crop = _crop(8, (32, 32))
     truth = 150.0
     model = build_age_model(TINY, seed=4)

@@ -24,7 +24,7 @@ def test_default_spec_grid():
     assert spec.shifts_y == (0, 10, 20)
     assert spec.rotations == (0.0, 15.0)
     assert spec.flips == (False, True)
-    assert spec.variants_per_image == 48
+    assert len(enumerate_variants(_ref(np.random.default_rng(0)), spec)) == 48
 
 
 def test_spec_validation():

@@ -143,9 +143,8 @@ def test_train_commands_wrote_checkpoints(workspace):
     assert (out / "seg.ckpt").is_file()
     assert (out / "roi.ckpt").is_file()
     assert (out / "age.ckpt").is_file()
-    assert (out / "atlas" / "atlas.txt").is_file()
-    # atlas ships one crop per class
-    assert len(list((out / "atlas").glob("atlas_class_*.pgm"))) == 12
+    # the atlas is its class manifest alone
+    assert [p.name for p in (out / "atlas").iterdir()] == ["atlas.txt"]
 
 
 @pytest.mark.parametrize("command", ["train-seg", "train-roi", "train-age"])

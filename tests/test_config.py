@@ -34,8 +34,7 @@ def test_defaults_without_a_file():
     assert cfg.confidence_threshold == 0.5
     assert cfg.unet.depth == 3
     assert cfg.rpn.input_size == (96, 128)
-    assert cfg.age.num_classes == 12
-    assert cfg.augmentation.variants_per_image == 48
+    assert cfg.augmentation == AugmentationSpec()
     assert cfg.phantom.train_count == 200
 
 
@@ -125,9 +124,11 @@ def test_unknown_section_rejected(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "cfg.ini"
-    p.write_text("[segmentation]\ndephts = 3\n")
-    with pytest.raises(ConfigError, match="dephts"):
-        load_config(p)
+    # a misspelling, and the class count the atlas table now fixes
+    for section, key, value in [("segmentation", "dephts", 3), ("age", "num_classes", 12)]:
+        p.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"\[{section}\] unknown keys: {key}"):
+            load_config(p)
 
 
 def test_unparsable_value_names_section_and_key(tmp_path):
@@ -247,7 +248,6 @@ crop_width = 32
 crop_height = 48
 channels = 2, 4, 8
 hidden = 24
-num_classes = 10
 epochs = 7
 learning_rate = 0.03
 batch_size = 5
@@ -294,7 +294,7 @@ def test_every_schema_key_sets_its_own_field(tmp_path):
         ),
         unet=UNetConfig(depth=2, base_channels=4, input_size=(48, 32), threshold=0.4),
         rpn=RpnConfig(backbone_channels=(4, 8), input_size=(64, 48), hidden=16),
-        age=AgeConfig(input_size=(32, 48), backbone_channels=(2, 4, 8), hidden=24, num_classes=10),
+        age=AgeConfig(input_size=(32, 48), backbone_channels=(2, 4, 8), hidden=24),
         seg_train=TrainSettings(epochs=5, learning_rate=0.01, batch_size=2),
         roi_train=TrainSettings(epochs=6, learning_rate=0.02, batch_size=3),
         age_train=TrainSettings(epochs=7, learning_rate=0.03, batch_size=5),

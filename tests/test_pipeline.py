@@ -4,17 +4,20 @@ The end-to-end cases ride on the session-scoped trained stack, so they
 score real checkpoints without retraining per test.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from boneage.age_estimation import ReferenceAtlas, save_atlas
 from boneage.checkpoint import save_checkpoint
 from boneage.errors import CheckpointError, ContractError, StartupError
 from boneage.imaging import save_image
 from boneage.phantom import PhantomSpec, generate_phantom
 from boneage.segmentation import build_unet
 from boneage.pipeline import (
+    STAGES,
     Pipeline,
     PredictionRecord,
     age_data_deployed,
@@ -79,16 +82,6 @@ def test_age_data_keeps_positives_only(tmp_path):
     assert triples[0][2] == atlas.class_of("female", 150.0)
 
 
-def test_build_phantom_atlas_is_deterministic(tmp_path):
-    cfg = make_config(tmp_path)
-    a = build_phantom_atlas(cfg)
-    b = build_phantom_atlas(cfg)
-    assert len(a.entries) == 12
-    for ea, eb in zip(a.entries, b.entries):
-        assert ea.image.pixels.tobytes() == eb.image.pixels.tobytes()
-        assert (ea.sex, ea.age_months) == (eb.sex, eb.age_months)
-
-
 def test_training_and_holdout_streams_are_disjoint(tmp_path):
     cfg = make_config(tmp_path)
     train = training_phantoms(cfg, 30)
@@ -147,6 +140,35 @@ def test_load_rejects_checkpoint_from_a_different_geometry(tmp_path):
     cfg.atlas_manifest.write_text("")
     with pytest.raises(CheckpointError, match="segmentation:"):
         Pipeline.load(cfg)
+
+
+@pytest.mark.parametrize(
+    "manifest, first_bad",
+    [
+        # a 12-month table of another age range, which the table check
+        # must reject even though count, uniqueness and steps all hold
+        (
+            [f"{i} {sex} {60 + 12 * (i % 6)}" for i, sex in enumerate(["female"] * 6 + ["male"] * 6)],
+            "expected '0 female 120', got '0 female 60'",
+        ),
+        # the manifest layout that carried one exemplar PGM per class
+        (
+            [f"{i} {sex} {120 + 12 * (i % 6)} atlas_class_{i:02d}.pgm"
+             for i, sex in enumerate(["female"] * 6 + ["male"] * 6)],
+            "expected '0 female 120', got '0 female 120 atlas_class_00.pgm'",
+        ),
+    ],
+    ids=["other-ages", "exemplar-column"],
+)
+def test_load_rejects_an_atlas_other_than_the_class_table(tmp_path, manifest, first_bad):
+    cfg = make_config(tmp_path)
+    for build, geometry, checkpoint, _ in STAGES.values():
+        save_checkpoint(getattr(cfg, checkpoint), build(getattr(cfg, geometry), seed=0).params)
+    cfg.atlas_manifest.write_text("\n".join(manifest) + "\n")
+    with pytest.raises(ContractError, match=f"^age: .*atlas.txt:1: {re.escape(first_bad)}$"):
+        Pipeline.load(cfg)
+    save_atlas(build_phantom_atlas(cfg), cfg.atlas_manifest)
+    assert Pipeline.load(cfg).atlas == ReferenceAtlas()
 
 
 # ---------------------------------------------------------------------------
