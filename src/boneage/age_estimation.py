@@ -10,17 +10,18 @@ the class scores carry the similarity ranking and the nearest class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import nn
-from .errors import ContractError, DimensionError, ImageIOError, TrainingError
+from .checkpoint import write_atomic
+from .errors import ContractError, DimensionError, ImageIOError
 from .imaging import GrayImage
-from .optim import OptimizerConfig
+from .optim import TrainSettings
 from .tensor import Tensor, add, dense, loss, softmax_cross_entropy
 
 AGE_NORM = 180.0
@@ -84,7 +85,7 @@ def save_atlas(atlas: ReferenceAtlas, manifest_path) -> None:
     """Write the manifest: one `class_id sex age_months` line per class."""
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text("\n".join(_manifest_lines(atlas)) + "\n", encoding="ascii")
+    write_atomic(manifest_path, ("\n".join(_manifest_lines(atlas)) + "\n").encode("ascii"))
 
 
 def load_atlas(manifest_path) -> ReferenceAtlas:
@@ -140,23 +141,17 @@ class AgeConfig(nn.InputPlane):
         nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
 
 
-@dataclass
-class AgeModel:
-    config: AgeConfig
-    params: Dict[str, Tensor] = field(default_factory=dict)
-
-
-def build_age_model(config: AgeConfig = AgeConfig(), seed: int = 0) -> AgeModel:
+def build_age_model(config: AgeConfig = AgeConfig(), seed: int = 0) -> nn.Model:
     """Initialize the age network's parameters."""
     rng = np.random.default_rng(seed)
     params: Dict[str, Tensor] = {}
     nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
     nn.init_dense(params, rng, "head_class", config.hidden, NUM_CLASSES)
     nn.init_dense(params, rng, "head_reg", config.hidden, 1)
-    return AgeModel(config=config, params=params)
+    return nn.Model(config, params)
 
 
-def age_forward(model: AgeModel, x: Tensor) -> Tuple[Tensor, Tensor]:
+def age_forward(model: nn.Model, x: Tensor) -> Tuple[Tensor, Tensor]:
     """Run the net; returns (class_logits (N, 12), age_norm (N, 1)).
 
     Both heads consume the same feature vector.
@@ -170,7 +165,7 @@ def age_forward(model: AgeModel, x: Tensor) -> Tuple[Tensor, Tensor]:
     return class_logits, age_norm
 
 
-def _crop_input(model: AgeModel, crop: GrayImage) -> Tensor:
+def _crop_input(model: nn.Model, crop: GrayImage) -> Tensor:
     cfg = model.config
     if (crop.width, crop.height) != cfg.input_size:
         raise DimensionError(
@@ -179,7 +174,7 @@ def _crop_input(model: AgeModel, crop: GrayImage) -> Tensor:
     return Tensor(crop.pixels[None, None, :, :])
 
 
-def estimate_age(model: AgeModel, crop: GrayImage, atlas: ReferenceAtlas) -> AgeEstimate:
+def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> AgeEstimate:
     """Estimate a continuous age in months for a joint crop.
 
     The regression head's output (in units of 180 months) is clamped
@@ -202,13 +197,12 @@ def estimate_age(model: AgeModel, crop: GrayImage, atlas: ReferenceAtlas) -> Age
 
 
 def train_age(
-    model: AgeModel,
+    model: nn.Model,
     dataset: Sequence[Tuple[GrayImage, float, int]],
-    epochs: int = 60,
-    optimizer: Optional[OptimizerConfig] = None,
+    settings: TrainSettings,
     seed: int = 0,
     log_fn=None,
-) -> Tuple[AgeModel, List[float]]:
+) -> Tuple[nn.Model, List[float]]:
     """Fit on (crop, age_months, class_index) triples.
 
     The loss is class cross-entropy plus the squared error of the
@@ -216,10 +210,6 @@ def train_age(
     loss per epoch.
     """
     cfg = model.config
-    if not dataset:
-        raise TrainingError("age training needs at least one sample")
-    optimizer = optimizer or OptimizerConfig(kind="adaptive", learning_rate=2e-3, batch_size=8)
-
     n = len(dataset)
     crops = np.empty((n, 1, cfg.height, cfg.width), dtype=np.float32)
     onehot = np.zeros((n, NUM_CLASSES), dtype=np.float32)
@@ -245,5 +235,5 @@ def train_age(
         ce = softmax_cross_entropy(class_logits, Tensor(onehot[idx]))
         return add(ce, loss(age_norm, Tensor(ages[idx]), "mse"))
 
-    history = nn.fit(model.params, n, batch_loss, optimizer, epochs, seed, "age", log_fn)
+    history = nn.fit(model.params, n, batch_loss, settings, seed, "age", log_fn)
     return model, history

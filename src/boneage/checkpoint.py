@@ -9,11 +9,14 @@ One file per checkpoint: a text manifest, then the raw parameter data.
     <little-endian float32 blob, parameters in manifest order>
 
 Offsets are relative to the start of the blob. Checkpoints hold
-parameter values only; model geometry is rebuilt from config.
+parameter values only; model geometry is rebuilt from config. Files
+are replaced atomically (``write_atomic``), so a failed save leaves the
+previous checkpoint as it was.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Dict
 
@@ -23,6 +26,19 @@ from .errors import CheckpointError
 from .tensor import Tensor
 
 FORMAT_LINE = "format=1"
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to a temp file beside ``path``, then rename it over
+    ``path``: readers see the old file or the new one, never a part."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_checkpoint(path, params: Dict[str, Tensor]) -> None:
@@ -40,7 +56,7 @@ def save_checkpoint(path, params: Dict[str, Tensor]) -> None:
         blobs.append(raw)
         offset += len(raw)
     header = ("\n".join(lines) + "\n\n").encode("ascii")
-    Path(path).write_bytes(header + b"".join(blobs))
+    write_atomic(path, header + b"".join(blobs))
 
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:

@@ -24,23 +24,9 @@ from typing import Any, Dict, Tuple
 from .age_estimation import AgeConfig
 from .augmentation import AugmentationSpec
 from .errors import ConfigError
+from .optim import TrainSettings
 from .roi import RpnConfig
 from .segmentation import UNetConfig
-
-
-@dataclass(frozen=True)
-class TrainSettings:
-    epochs: int
-    learning_rate: float
-    batch_size: int
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +57,15 @@ class PipelineConfig:
     roi_train: TrainSettings = TrainSettings(epochs=60, learning_rate=2e-3, batch_size=8)
     age_train: TrainSettings = TrainSettings(epochs=60, learning_rate=2e-3, batch_size=8)
     phantom: PhantomSettings = PhantomSettings()
+
+    def __setattr__(self, name, value):
+        # checked on every assignment: the INI loader and --seed set them
+        # on a built config
+        if name == "seed" and value < 0:
+            raise ConfigError(f"seed must be >= 0, got {value}")
+        if name == "confidence_threshold" and not 0.0 <= value <= 1.0:
+            raise ConfigError(f"confidence_threshold must be in [0, 1], got {value}")
+        super().__setattr__(name, value)
 
 
 _ARTIFACTS = ("seg_checkpoint", "roi_checkpoint", "age_checkpoint", "atlas_manifest")

@@ -1,29 +1,40 @@
 """Shared building blocks for the three networks.
 
-Models in this package are a plain dict of named parameter Tensors plus
-a forward function. These helpers cover He-uniform initialization, the
+A model is an ``nn.Model``: its config (the network's geometry) plus a
+dict of named parameter Tensors; each network module supplies the
+forward function. These helpers cover He-uniform initialization, the
 conv+relu blocks everything is assembled from, the VGG-style trunk the
 localizer and the age net share, and the one training loop.
 
 The trunk is ``block{i}`` double-conv blocks, each followed by a 2x2
 max-pool, then ``relu(fc)`` over the flattened features; the heads on
-top are the caller's. ``fit`` runs every network's training: shuffled
-minibatches (``minibatches``), a fresh tape per step, a finite-loss
-check, one ``optimizer_step``, and the epoch mean handed to ``log_fn``.
-Both loop calls go through this module's names, so code that rebinds
-them (the benchmark's step clock and tracer) sees every step.
+top are the caller's. ``fit`` runs every network's training from its
+``TrainSettings``: shuffled minibatches (``minibatches``), a fresh tape
+per step, a finite-loss check, one Adam ``optimizer_step``, and the
+epoch mean handed to ``log_fn``. Both loop calls go through this
+module's names, so code that rebinds them (the benchmark's step clock
+and tracer) sees every step.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError, TrainingError
-from .optim import OptimizerConfig, OptimizerState, collect_grads, optimizer_step, zero_grads
+from .optim import OptimizerState, TrainSettings, optimizer_step, zero_grads
 from .tensor import Tape, Tensor
+
+
+@dataclass
+class Model:
+    """One network: ``config`` fixes its geometry, ``params`` its weights."""
+
+    config: Any
+    params: Dict[str, Tensor]
 
 
 def he_uniform(rng: np.random.Generator, shape: Sequence[int], fan_in: int) -> np.ndarray:
@@ -157,8 +168,7 @@ def fit(
     params: Dict[str, Tensor],
     n: int,
     loss_fn: Callable[[np.ndarray], Tensor],
-    optimizer: OptimizerConfig,
-    epochs: int,
+    settings: TrainSettings,
     seed: int,
     label: str,
     log_fn: Optional[Callable[[str], None]] = None,
@@ -168,15 +178,18 @@ def fit(
 
     ``loss_fn`` runs under the step's tape and returns the scalar loss.
     ``label`` names the stage in the per-epoch log line and in the
-    TrainingError raised when a batch loss stops being finite.
+    TrainingError raised when there is no sample or a batch loss stops
+    being finite.
     """
+    if n < 1:
+        raise TrainingError(f"{label} training needs at least one sample")
     rng = np.random.default_rng(seed)
-    state = OptimizerState(learning_rate=optimizer.learning_rate)
+    state = OptimizerState(learning_rate=settings.learning_rate)
     history: List[float] = []
-    for epoch in range(epochs):
+    for epoch in range(settings.epochs):
         total = 0.0
         batches = 0
-        for idx in minibatches(n, optimizer.batch_size, rng):
+        for idx in minibatches(n, settings.batch_size, rng):
             zero_grads(params)
             with Tape() as tape:
                 l = loss_fn(idx)
@@ -184,10 +197,10 @@ def fit(
             value = float(l.data)
             if not np.isfinite(value):
                 raise TrainingError(f"{label} loss became {value} at epoch {epoch}, batch {batches}")
-            optimizer_step(params, collect_grads(params), state, kind=optimizer.kind)
+            optimizer_step(params, state)
             total += value
             batches += 1
         history.append(total / batches)
         if log_fn is not None:
-            log_fn(f"{label} epoch {epoch + 1}/{epochs} loss {history[-1]:.5f}")
+            log_fn(f"{label} epoch {epoch + 1}/{settings.epochs} loss {history[-1]:.5f}")
     return history

@@ -1,4 +1,10 @@
-"""Parameter updates: plain SGD and the adaptive (Adam-style) variant."""
+"""Training recipes and the parameter update.
+
+``TrainSettings`` is one network's whole training recipe: epochs,
+learning rate and minibatch size. ``optimizer_step`` applies the Adam
+update (Kingma & Ba, arXiv:1412.6980) to every parameter that holds a
+gradient.
+"""
 
 from __future__ import annotations
 
@@ -7,17 +13,27 @@ from typing import Dict
 
 import numpy as np
 
-from .errors import ContractError, TrainingError
+from .errors import ConfigError, ContractError, TrainingError
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-@dataclass
-class OptimizerConfig:
-    """Knobs a training run needs. batch_size rides along for convenience."""
 
-    kind: str = "adaptive"
-    learning_rate: float = 1e-3
-    batch_size: int = 8
+@dataclass(frozen=True)
+class TrainSettings:
+    epochs: int
+    learning_rate: float
+    batch_size: int
+
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -26,9 +42,6 @@ class OptimizerState:
 
     learning_rate: float
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: Dict[str, np.ndarray] = field(default_factory=dict)
     v: Dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -37,60 +50,38 @@ class OptimizerState:
             raise ContractError("learning_rate must be positive")
 
 
-def optimizer_step(
-    params: Dict[str, Tensor],
-    grads: Dict[str, np.ndarray],
-    state: OptimizerState,
-    kind: str = "sgd",
-) -> None:
-    """Apply one update step in place and bump state.step_count by one.
+def optimizer_step(params: Dict[str, Tensor], state: OptimizerState) -> None:
+    """Apply one Adam step in place and bump state.step_count by one.
 
-    sgd:       p <- p - lr * g
-    adaptive:  first/second moment estimates with bias correction.
-
-    Parameters without an entry in ``grads`` (or with a None entry) are
-    skipped, so frozen or unused parameters cost nothing.
+    First and second moment estimates with bias correction. Parameters
+    whose ``.grad`` is None are skipped, so frozen or unused parameters
+    cost nothing.
     """
-    if kind not in ("sgd", "adaptive"):
-        raise ContractError(f"unknown optimizer kind {kind!r}")
     lr = np.float32(state.learning_rate)
+    b1, b2 = np.float32(BETA1), np.float32(BETA2)
     state.step_count += 1
     t = state.step_count
     for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
+        if p.grad is None:
             continue
-        g = np.asarray(g, dtype=np.float32)
+        g = np.asarray(p.grad, dtype=np.float32)
         if g.shape != p.data.shape:
             raise ContractError(
                 f"gradient for {name!r} has shape {g.shape}, parameter is {p.data.shape}"
             )
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if kind == "sgd":
-            p.data -= lr * g
-            continue
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-        v = state.v.get(name)
-        if v is None:
-            v = np.zeros_like(p.data)
-            state.v[name] = v
-        b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
         m *= b1
         m += (np.float32(1.0) - b1) * g
         v *= b2
         v += (np.float32(1.0) - b2) * (g * g)
-        m_hat = m / np.float32(1.0 - state.beta1**t)
-        v_hat = v / np.float32(1.0 - state.beta2**t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
-
-
-def collect_grads(params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
-    """Snapshot .grad for every parameter that has one."""
-    return {name: p.grad for name, p in params.items() if p.grad is not None}
+        m_hat = m / np.float32(1.0 - BETA1**t)
+        v_hat = v / np.float32(1.0 - BETA2**t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + np.float32(EPS))
 
 
 def zero_grads(params: Dict[str, Tensor]) -> None:

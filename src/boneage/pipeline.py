@@ -21,7 +21,6 @@ from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .age_estimation import (
-    AgeModel,
     ReferenceAtlas,
     build_age_model,
     estimate_age,
@@ -33,7 +32,7 @@ from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import PipelineConfig
 from .errors import BoneAgeError, StartupError
 from .imaging import GrayImage, load_image, resize_bilinear, save_image
-from .optim import OptimizerConfig
+from .nn import Model
 from .phantom import PhantomSample, generate_dataset
 from .roi import (
     PREPARED_HEIGHT,
@@ -41,7 +40,6 @@ from .roi import (
     RAW_HEIGHT,
     RAW_WIDTH,
     RoiBox,
-    RoiModel,
     build_rpn,
     crop_roi,
     predict_roi,
@@ -49,7 +47,7 @@ from .roi import (
     train_roi,
     transform_box_to_prepared,
 )
-from .segmentation import SegmentationModel, build_unet, segment, train_segmentation
+from .segmentation import build_unet, segment, train_segmentation
 
 LogFn = Optional[Callable[[str], None]]
 
@@ -112,12 +110,12 @@ def roi_data(
         bone = resize_bilinear(masked_bone_image(s), RAW_WIDTH, RAW_HEIGHT)
         prepared = prepare_roi_input(bone)
         small = resize_bilinear(prepared, net_w, net_h)
-        box = _prepared_box(s)
-        out.append((small, box.scaled(net_w / PREPARED_WIDTH, net_h / PREPARED_HEIGHT), s.is_true))
+        box = prepared_box(s).scaled(net_w / PREPARED_WIDTH, net_h / PREPARED_HEIGHT)
+        out.append((small, box, s.is_true))
     return out
 
 
-def _prepared_box(s: PhantomSample) -> RoiBox:
+def prepared_box(s: PhantomSample) -> RoiBox:
     """Ground-truth box carried to 720x960 prepared coordinates."""
     raw = s.roi.scaled(RAW_WIDTH / s.image.width, RAW_HEIGHT / s.image.height)
     return transform_box_to_prepared(raw)
@@ -136,7 +134,7 @@ def _jitter_box(box: RoiBox, rng: np.random.Generator) -> RoiBox:
 
 
 def deployed_age_crop(
-    seg_model: SegmentationModel,
+    seg_model: Model,
     sample: PhantomSample,
     crop_size: Tuple[int, int],
     box: Optional[RoiBox] = None,
@@ -145,7 +143,7 @@ def deployed_age_crop(
     masked by the trained segmenter before the geometric chain."""
     _, bone = segment(seg_model, sample.image)
     prepared = prepare_roi_input(bone)
-    target = box if box is not None else _prepared_box(sample)
+    target = box if box is not None else prepared_box(sample)
     return crop_roi(prepared, target, crop_size[0], crop_size[1])
 
 
@@ -153,7 +151,7 @@ def age_data_deployed(
     samples: Sequence[PhantomSample],
     atlas: ReferenceAtlas,
     crop_size: Tuple[int, int],
-    seg_model: SegmentationModel,
+    seg_model: Model,
     seed: int = 0,
 ) -> List[Tuple[GrayImage, float, int]]:
     """Age-training triples cropped from the trained segmenter's output.
@@ -167,7 +165,7 @@ def age_data_deployed(
     for s in samples:
         if not s.is_true:
             continue
-        base = _prepared_box(s)
+        base = prepared_box(s)
         box = base if kept % 2 == 0 else _jitter_box(base, rng)
         kept += 1
         out.append(
@@ -249,14 +247,10 @@ def _fit_stage(config: PipelineConfig, stage: str, train, dataset, log_fn: LogFn
     """Build one stage's network, fit it to ``dataset`` with the stage's
     TrainSettings and save its checkpoint."""
     build, geometry, checkpoint, settings = STAGES[stage]
-    settings = getattr(config, settings)
     model, history = train(
         build(getattr(config, geometry), seed=config.seed),
         dataset,
-        epochs=settings.epochs,
-        optimizer=OptimizerConfig(
-            kind="adaptive", learning_rate=settings.learning_rate, batch_size=settings.batch_size
-        ),
+        getattr(config, settings),
         seed=config.seed,
         log_fn=log_fn,
     )
@@ -268,14 +262,14 @@ def _fit_stage(config: PipelineConfig, stage: str, train, dataset, log_fn: LogFn
 
 def train_segmentation_stage(
     config: PipelineConfig, samples: Optional[Sequence[PhantomSample]] = None, log_fn: LogFn = None
-) -> Tuple[SegmentationModel, List[float]]:
+) -> Tuple[Model, List[float]]:
     samples = samples if samples is not None else training_phantoms(config)
     return _fit_stage(config, "segmentation", train_segmentation, segmentation_data(samples), log_fn)
 
 
 def train_roi_stage(
     config: PipelineConfig, samples: Optional[Sequence[PhantomSample]] = None, log_fn: LogFn = None
-) -> Tuple[RoiModel, List[float]]:
+) -> Tuple[Model, List[float]]:
     samples = samples if samples is not None else training_phantoms(config)
     return _fit_stage(
         config, "localization", train_roi, roi_data(samples, config.rpn.input_size), log_fn
@@ -286,8 +280,8 @@ def train_age_stage(
     config: PipelineConfig,
     samples: Optional[Sequence[PhantomSample]] = None,
     log_fn: LogFn = None,
-    seg_model: Optional[SegmentationModel] = None,
-) -> Tuple[AgeModel, ReferenceAtlas, List[float]]:
+    seg_model: Optional[Model] = None,
+) -> Tuple[Model, ReferenceAtlas, List[float]]:
     """Train the age network on crops from the trained segmenter.
 
     Requires the segmentation checkpoint (or a seg_model passed in),
@@ -307,22 +301,15 @@ def train_age_stage(
 # prediction
 # ---------------------------------------------------------------------------
 
+@dataclass
 class Pipeline:
     """Loaded models plus the atlas; runs the full prediction chain."""
 
-    def __init__(
-        self,
-        config: PipelineConfig,
-        seg_model: SegmentationModel,
-        roi_model: RoiModel,
-        age_model: AgeModel,
-        atlas: ReferenceAtlas,
-    ):
-        self.config = config
-        self.seg_model = seg_model
-        self.roi_model = roi_model
-        self.age_model = age_model
-        self.atlas = atlas
+    config: PipelineConfig
+    seg_model: Model
+    roi_model: Model
+    age_model: Model
+    atlas: ReferenceAtlas
 
     @classmethod
     def load(cls, config: PipelineConfig) -> "Pipeline":

@@ -16,15 +16,15 @@ two scales by a uniform factor of 7.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import nn
-from .errors import ContractError, TrainingError
+from .errors import ContractError
 from .imaging import GrayImage, resize_bilinear, rotate
-from .optim import OptimizerConfig
+from .optim import TrainSettings
 from .tensor import Tensor, add, dense, loss, select_rows, sigmoid
 
 RAW_WIDTH = 720
@@ -147,13 +147,7 @@ class RpnConfig(nn.InputPlane):
         nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
 
 
-@dataclass
-class RoiModel:
-    config: RpnConfig
-    params: Dict[str, Tensor] = field(default_factory=dict)
-
-
-def build_rpn(config: RpnConfig = RpnConfig(), seed: int = 0) -> RoiModel:
+def build_rpn(config: RpnConfig = RpnConfig(), seed: int = 0) -> nn.Model:
     """Initialize the localization network's parameters."""
     rng = np.random.default_rng(seed)
     params: Dict[str, Tensor] = {}
@@ -161,10 +155,10 @@ def build_rpn(config: RpnConfig = RpnConfig(), seed: int = 0) -> RoiModel:
     nn.init_dense(params, rng, "head_center", config.hidden, 2)
     nn.init_dense(params, rng, "head_size", config.hidden, 2)
     nn.init_dense(params, rng, "head_conf", config.hidden, 1)
-    return RoiModel(config=config, params=params)
+    return nn.Model(config, params)
 
 
-def rpn_forward(model: RoiModel, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
+def rpn_forward(model: nn.Model, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
     """Run the net; returns (center_logits, size_logits, conf_logits).
 
     Five scalars per image: 2 center, 2 size, 1 confidence.
@@ -198,7 +192,7 @@ def decode_boxes(
     return np.stack([x, y, bw, bh], axis=1)
 
 
-def predict_roi(model: RoiModel, prepared: GrayImage) -> Tuple[RoiBox, float]:
+def predict_roi(model: nn.Model, prepared: GrayImage) -> Tuple[RoiBox, float]:
     """Localize the joint on a standardized 720x960 image.
 
     Returns the box in prepared-image pixels and the probability that
@@ -231,13 +225,12 @@ def _roi_targets(boxes: Sequence[RoiBox], width: float, height: float):
 
 
 def train_roi(
-    model: RoiModel,
+    model: nn.Model,
     dataset: Sequence[Tuple[GrayImage, RoiBox, bool]],
-    epochs: int = 60,
-    optimizer: Optional[OptimizerConfig] = None,
+    settings: TrainSettings,
     seed: int = 0,
     log_fn=None,
-) -> Tuple[RoiModel, List[float]]:
+) -> Tuple[nn.Model, List[float]]:
     """Fit the localizer on (image, box, is_true) triples.
 
     Images are resized to the net input; boxes are scaled along. Box
@@ -246,10 +239,6 @@ def train_roi(
     sample. Returns the model and the mean loss per epoch.
     """
     cfg = model.config
-    if not dataset:
-        raise TrainingError("localization training needs at least one sample")
-    optimizer = optimizer or OptimizerConfig(kind="adaptive", learning_rate=2e-3, batch_size=8)
-
     n = len(dataset)
     images = np.empty((n, 1, cfg.height, cfg.width), dtype=np.float32)
     scaled_boxes: List[Optional[RoiBox]] = []
@@ -293,5 +282,5 @@ def train_roi(
             total_loss = add(add(total_loss, l_center), l_size)
         return total_loss
 
-    history = nn.fit(model.params, n, batch_loss, optimizer, epochs, seed, "roi", log_fn)
+    history = nn.fit(model.params, n, batch_loss, settings, seed, "roi", log_fn)
     return model, history

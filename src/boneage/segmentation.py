@@ -14,19 +14,17 @@ at 720x480.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from . import nn
 from .errors import ConfigError, DimensionError, TrainingError
 from .imaging import GrayImage, resize_bilinear
-from .optim import OptimizerConfig
+from .optim import TrainSettings
+from .roi import RAW_HEIGHT, RAW_WIDTH
 from .tensor import Tensor, add, concat_channels, conv2d, loss, max_pool2d, sigmoid, upsample2x
-
-WORK_WIDTH = 720
-WORK_HEIGHT = 480
 
 
 @dataclass(frozen=True)
@@ -51,13 +49,7 @@ class UNetConfig(nn.InputPlane):
         return self.base_channels * 2 ** level
 
 
-@dataclass
-class SegmentationModel:
-    config: UNetConfig
-    params: Dict[str, Tensor] = field(default_factory=dict)
-
-
-def build_unet(config: UNetConfig = UNetConfig(), seed: int = 0) -> SegmentationModel:
+def build_unet(config: UNetConfig = UNetConfig(), seed: int = 0) -> nn.Model:
     """Initialize the segmentation network's parameters."""
     rng = np.random.default_rng(seed)
     params: Dict[str, Tensor] = {}
@@ -73,10 +65,10 @@ def build_unet(config: UNetConfig = UNetConfig(), seed: int = 0) -> Segmentation
         # merged input: upsampled coarse features plus the skip
         nn.init_conv_block(params, rng, f"dec{level}", up_ch + skip_ch, skip_ch)
     nn.init_conv(params, rng, "head", 1, config.base_channels, k=1)
-    return SegmentationModel(config=config, params=params)
+    return nn.Model(config, params)
 
 
-def unet_forward(model: SegmentationModel, x: Tensor) -> Tensor:
+def unet_forward(model: nn.Model, x: Tensor) -> Tensor:
     """Per-pixel bone probability, shape (N, 1, height, width)."""
     cfg = model.config
     nn.check_input(x, cfg.width, cfg.height)
@@ -95,7 +87,7 @@ def unet_forward(model: SegmentationModel, x: Tensor) -> Tensor:
     return sigmoid(logits)
 
 
-def segment(model: SegmentationModel, img: GrayImage) -> Tuple[GrayImage, GrayImage]:
+def segment(model: nn.Model, img: GrayImage) -> Tuple[GrayImage, GrayImage]:
     """Isolate bone: returns (soft mask, bone image).
 
     The mask is the sigmoid output at net resolution. The bone image
@@ -108,7 +100,7 @@ def segment(model: SegmentationModel, img: GrayImage) -> Tuple[GrayImage, GrayIm
     mask = GrayImage(out.data[0, 0])
     hard = (mask.pixels >= cfg.threshold).astype(np.float32)
     bone = GrayImage(small.pixels * hard)
-    return mask, resize_bilinear(bone, WORK_WIDTH, WORK_HEIGHT)
+    return mask, resize_bilinear(bone, RAW_WIDTH, RAW_HEIGHT)
 
 
 def dice_score(pred, target, threshold: float = 0.5) -> float:
@@ -126,7 +118,7 @@ def dice_score(pred, target, threshold: float = 0.5) -> float:
 
 
 def _training_arrays(
-    model: SegmentationModel, dataset: Sequence[Tuple[GrayImage, GrayImage]]
+    model: nn.Model, dataset: Sequence[Tuple[GrayImage, GrayImage]]
 ) -> Tuple[np.ndarray, np.ndarray]:
     cfg = model.config
     images = np.empty((len(dataset), 1, cfg.height, cfg.width), dtype=np.float32)
@@ -151,21 +143,17 @@ def _training_arrays(
 
 
 def train_segmentation(
-    model: SegmentationModel,
+    model: nn.Model,
     dataset: Sequence[Tuple[GrayImage, GrayImage]],
-    epochs: int = 40,
-    optimizer: Optional[OptimizerConfig] = None,
+    settings: TrainSettings,
     seed: int = 0,
     log_fn=None,
-) -> Tuple[SegmentationModel, List[float]]:
+) -> Tuple[nn.Model, List[float]]:
     """Fit on (image, binary mask) pairs; both are resized to net size.
 
     The loss is cross-entropy plus overlap loss, equally weighted.
     Returns the model and the mean loss per epoch.
     """
-    if not dataset:
-        raise TrainingError("segmentation training needs at least one sample")
-    optimizer = optimizer or OptimizerConfig(kind="adaptive", learning_rate=1e-3, batch_size=16)
     images, masks = _training_arrays(model, dataset)
 
     def batch_loss(idx: np.ndarray) -> Tensor:
@@ -173,5 +161,5 @@ def train_segmentation(
         target = Tensor(masks[idx])
         return add(loss(pred, target, "bce"), loss(pred, target, "dice"))
 
-    history = nn.fit(model.params, len(dataset), batch_loss, optimizer, epochs, seed, "seg", log_fn)
+    history = nn.fit(model.params, len(dataset), batch_loss, settings, seed, "seg", log_fn)
     return model, history

@@ -104,7 +104,7 @@ class Tape:
 
         with Tape() as tape:
             out = dense(x, w, b)
-            l = loss(out, target, kind="mse")
+            l = loss(out, target, "mse")
         tape.backward(l)
     """
 

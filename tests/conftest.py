@@ -9,7 +9,7 @@ never touched until the acceptance measurements.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List
 
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from boneage.age_estimation import (
-    AgeModel,
     ReferenceAtlas,
     build_age_model,
     estimate_age,
@@ -27,29 +26,27 @@ from boneage.age_estimation import (
 from boneage.checkpoint import save_checkpoint
 from boneage.config import PipelineConfig, load_config
 from boneage.imaging import resize_bilinear
+from boneage.nn import Model
 from boneage.phantom import PhantomSample, generate_dataset
 from boneage.pipeline import (
     age_data_deployed,
     build_phantom_atlas,
     deployed_age_crop,
     masked_bone_image,
+    prepared_box,
     roi_data,
     segmentation_data,
 )
 from boneage.roi import (
     RAW_HEIGHT,
     RAW_WIDTH,
-    RoiBox,
-    RoiModel,
     build_rpn,
     iou,
     predict_roi,
     prepare_roi_input,
     train_roi,
-    transform_box_to_prepared,
 )
 from boneage.segmentation import (
-    SegmentationModel,
     build_unet,
     dice_score,
     segment,
@@ -70,19 +67,11 @@ def make_config(out_dir: Path, seed: int = STACK_SEED) -> PipelineConfig:
     return cfg
 
 
-def prepared_truth_box(sample: PhantomSample) -> RoiBox:
-    """Ground-truth box carried into 720x960 prepared coordinates."""
-    raw = sample.roi.scaled(
-        RAW_WIDTH / sample.image.width, RAW_HEIGHT / sample.image.height
-    )
-    return transform_box_to_prepared(raw)
-
-
 # ---------------------------------------------------------------------------
 # quality probes (used both for early stopping and by the acceptance tests)
 # ---------------------------------------------------------------------------
 
-def seg_holdout_dice(model: SegmentationModel, samples) -> float:
+def seg_holdout_dice(model: Model, samples) -> float:
     cfg = model.config
     scores = []
     for s in samples:
@@ -92,7 +81,7 @@ def seg_holdout_dice(model: SegmentationModel, samples) -> float:
     return float(np.mean(scores))
 
 
-def roi_quality(model: RoiModel, samples):
+def roi_quality(model: Model, samples):
     """(mean IoU on positives, mean confidence positives, mean conf negatives).
 
     Uses the ground-truth bone image through the standard geometry, so
@@ -105,7 +94,7 @@ def roi_quality(model: RoiModel, samples):
         bone = resize_bilinear(masked_bone_image(s), RAW_WIDTH, RAW_HEIGHT)
         box, conf = predict_roi(model, prepare_roi_input(bone))
         if s.is_true:
-            ious.append(iou(box, prepared_truth_box(s)))
+            ious.append(iou(box, prepared_box(s)))
             conf_pos.append(conf)
         else:
             conf_neg.append(conf)
@@ -117,7 +106,7 @@ def roi_quality(model: RoiModel, samples):
     )
 
 
-def age_errors(model: AgeModel, atlas: ReferenceAtlas, config, samples, seg_model):
+def age_errors(model: Model, atlas: ReferenceAtlas, config, samples, seg_model):
     """(true ages, predicted ages) over the positive samples.
 
     Crops come from the trained segmenter with the true box, matching
@@ -145,9 +134,9 @@ class TrainedStack:
     train_samples: List[PhantomSample]
     age_samples: List[PhantomSample]
     holdout: List[PhantomSample]
-    seg_model: SegmentationModel
-    roi_model: RoiModel
-    age_model: AgeModel
+    seg_model: Model
+    roi_model: Model
+    age_model: Model
     atlas: ReferenceAtlas
     seconds: Dict[str, float] = field(default_factory=dict)
     epochs: Dict[str, int] = field(default_factory=dict)
@@ -190,8 +179,7 @@ def trained_stack(tmp_path_factory) -> TrainedStack:
     seg_pairs = segmentation_data(train_samples)
     done = 0
     while done < 40:
-        train_segmentation(seg_model, seg_pairs, epochs=4,
-                           optimizer=None, seed=cfg.seed + done)
+        train_segmentation(seg_model, seg_pairs, replace(cfg.seg_train, epochs=4), seed=cfg.seed + done)
         done += 4
         if seg_holdout_dice(seg_model, probe) >= 0.93:
             break
@@ -205,7 +193,7 @@ def trained_stack(tmp_path_factory) -> TrainedStack:
     roi_triples = roi_data(train_samples, cfg.rpn.input_size)
     done = 0
     while done < 60:
-        train_roi(roi_model, roi_triples, epochs=5, optimizer=None, seed=cfg.seed + done)
+        train_roi(roi_model, roi_triples, replace(cfg.roi_train, epochs=5), seed=cfg.seed + done)
         done += 5
         mean_iou, conf_pos, conf_neg = roi_quality(roi_model, probe)
         if mean_iou >= 0.65 and conf_pos - conf_neg > 0.2:
@@ -223,7 +211,7 @@ def trained_stack(tmp_path_factory) -> TrainedStack:
     )
     done = 0
     while done < 100:
-        train_age(age_model, age_triples, epochs=5, optimizer=None, seed=cfg.seed + done)
+        train_age(age_model, age_triples, replace(cfg.age_train, epochs=5), seed=cfg.seed + done)
         done += 5
         truths, preds = age_errors(age_model, atlas, cfg, age_samples[:24], seg_model)
         if np.mean(np.abs(truths - preds)) < 3.0:

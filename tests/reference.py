@@ -490,15 +490,6 @@ def dice_mask_ref(a, b):
 # optimizer hand traces
 # ---------------------------------------------------------------------------
 
-def sgd_trace_ref(p0, grads, lr):
-    p = float(p0)
-    out = []
-    for g in grads:
-        p -= lr * g
-        out.append(p)
-    return out
-
-
 def adam_trace_ref(p0, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     p = float(p0)
     m = 0.0

@@ -15,7 +15,7 @@ from boneage.cli import _default_references
 from boneage.config import PipelineConfig
 from boneage.imaging import load_image, save_image
 from boneage.metrics import selftest_report
-from boneage.optim import OptimizerConfig
+from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_phantom
 from boneage.pipeline import run_pipeline
 from boneage.segmentation import (
@@ -217,8 +217,7 @@ def test_acceptance_5_segmentation_quality(capsys, trained_stack):
     model, _ = train_segmentation(
         model,
         [pair],
-        epochs=200,
-        optimizer=OptimizerConfig(kind="adaptive", learning_rate=1e-2, batch_size=1),
+        TrainSettings(epochs=200, learning_rate=1e-2, batch_size=1),
         seed=0,
     )
     with T.Tape():

@@ -17,9 +17,11 @@ from boneage.age_estimation import (
 )
 from boneage.errors import ConfigError, ContractError, DimensionError, TrainingError
 from boneage.imaging import GrayImage
+from boneage.optim import TrainSettings
 from boneage.tensor import Tensor
 
 TINY = AgeConfig(input_size=(32, 32), backbone_channels=(4, 8), hidden=16)
+ONE_EPOCH = TrainSettings(epochs=1, learning_rate=2e-3, batch_size=8)
 
 
 def _crop(seed, size=(64, 64)):
@@ -209,46 +211,39 @@ def test_estimate_age_nearest_class_tracks_scores():
 # ---------------------------------------------------------------------------
 
 
-def test_train_requires_samples():
-    with pytest.raises(TrainingError):
-        train_age(build_age_model(TINY, seed=0), [])
-
-
 def test_train_validates_class_index_and_age():
     model = build_age_model(TINY, seed=0)
     crop = _crop(5, (32, 32))
     with pytest.raises(ContractError, match="sample 0"):
-        train_age(model, [(crop, 150.0, 12)], epochs=1)
+        train_age(model, [(crop, 150.0, 12)], ONE_EPOCH)
     with pytest.raises(ContractError, match="sample 0"):
-        train_age(model, [(crop, -5.0, 3)], epochs=1)
+        train_age(model, [(crop, -5.0, 3)], ONE_EPOCH)
 
 
 def test_train_validates_crop_size():
     model = build_age_model(TINY, seed=0)
     with pytest.raises(DimensionError, match="sample 0"):
-        train_age(model, [(_crop(6, (64, 64)), 150.0, 3)], epochs=1)
+        train_age(model, [(_crop(6, (64, 64)), 150.0, 3)], ONE_EPOCH)
 
 
 def test_train_reports_epoch_and_batch_on_blowup():
     model = build_age_model(TINY, seed=0)
     model.params["head_reg.b"].data[:] = np.nan
     with pytest.raises(TrainingError, match="epoch 0, batch 0"):
-        train_age(model, [(_crop(7, (32, 32)), 150.0, 3)], epochs=1)
+        train_age(model, [(_crop(7, (32, 32)), 150.0, 3)], ONE_EPOCH)
 
 
 def test_train_is_deterministic():
     data = [(_crop(i, (32, 32)), 120.0 + 12.0 * (i % 6), i % 12) for i in range(6)]
     runs = []
     for _ in range(2):
-        model, history = train_age(build_age_model(TINY, seed=3), data, epochs=3, seed=5)
+        model, history = train_age(build_age_model(TINY, seed=3), data, TrainSettings(3, 2e-3, 8), seed=5)
         runs.append((history, {n: t.data.tobytes() for n, t in model.params.items()}))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
 
 
 def test_single_sample_overfit_recovers_the_age():
-    from boneage.optim import OptimizerConfig
-
     atlas = ReferenceAtlas()
     crop = _crop(8, (32, 32))
     truth = 150.0
@@ -256,8 +251,7 @@ def test_single_sample_overfit_recovers_the_age():
     model, history = train_age(
         model,
         [(crop, truth, atlas.class_of("female", truth))],
-        epochs=400,
-        optimizer=OptimizerConfig(kind="adaptive", learning_rate=3e-3, batch_size=1),
+        TrainSettings(epochs=400, learning_rate=3e-3, batch_size=1),
         seed=0,
     )
     est = estimate_age(model, crop, atlas)

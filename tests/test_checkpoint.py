@@ -1,5 +1,7 @@
 """Checkpoint file format: manifest + raw little-endian float32 blob."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,21 @@ def test_bytes_after_the_last_parameter_rejected(tmp_path):
     path.write_bytes(f"{FORMAT_LINE}\nw 2 float32 0\n\n".encode() + b"\x00" * 16)
     with pytest.raises(CheckpointError, match=r"long\.ckpt: 8 bytes after"):
         load_checkpoint(path)
+
+
+def test_failed_save_leaves_the_previous_checkpoint_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _params(np.random.default_rng(5)))
+    before = path.read_bytes()
+    write_bytes = Path.write_bytes
+
+    def half_then_fail(self, data):
+        write_bytes(self, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, _params(np.random.default_rng(6)))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]

@@ -295,6 +295,29 @@ def test_percent_in_config_exits_with_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: [pipeline] seed: cannot parse '5%'")
 
 
+def test_negative_seed_flag_exits_with_error(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["phantom", "--seed", "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, line, message",
+    [
+        (["train-seg"], "seed = -2", "seed must be >= 0, got -2"),
+        (["predict", "x.pgm"], "confidence_threshold = 7", "confidence_threshold must be in [0, 1], got 7.0"),
+    ],
+    ids=["seed", "confidence_threshold"],
+)
+def test_out_of_range_pipeline_setting_exits_with_error(tmp_path, capsys, argv, line, message):
+    ini = tmp_path / "f.ini"
+    ini.write_text(f"[pipeline]\n{line}\n\n[paths]\nout_dir = {tmp_path}/out\n")
+    assert main([*argv, "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_roi_rejects_zero_channels_before_training(tmp_path, capsys):
     ini = tmp_path / "f.ini"
     ini.write_text(TINY_INI.replace("channels = 2,4", "channels = 0, -4", 1)

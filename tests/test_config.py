@@ -182,6 +182,31 @@ def test_inline_comments_are_stripped(tmp_path):
     assert load_config(p).seed == 9
 
 
+@pytest.mark.parametrize(
+    "key, raw, message",
+    [
+        ("seed", "-2", "seed must be >= 0, got -2"),
+        ("confidence_threshold", "7", "confidence_threshold must be in [0, 1], got 7.0"),
+        ("confidence_threshold", "-0.1", "confidence_threshold must be in [0, 1], got -0.1"),
+        ("confidence_threshold", "nan", "confidence_threshold must be in [0, 1], got nan"),
+    ],
+    ids=["negative-seed", "threshold-above-1", "threshold-below-0", "threshold-nan"],
+)
+def test_out_of_range_pipeline_settings_rejected(tmp_path, key, raw, message):
+    p = tmp_path / "cfg.ini"
+    p.write_text(f"[pipeline]\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(p)
+
+
+def test_pipeline_settings_at_their_bounds_load(tmp_path):
+    p = tmp_path / "cfg.ini"
+    for threshold in (0, 1):
+        p.write_text(f"[pipeline]\nseed = 0\nconfidence_threshold = {threshold}\n")
+        cfg = load_config(p)
+        assert (cfg.seed, cfg.confidence_threshold) == (0, threshold)
+
+
 def test_train_settings_validation():
     with pytest.raises(ConfigError):
         TrainSettings(epochs=-1, learning_rate=0.1, batch_size=1)

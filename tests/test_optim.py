@@ -1,4 +1,4 @@
-"""Optimizer update rules against hand-computed traces."""
+"""The Adam update against hand-computed traces."""
 
 import numpy as np
 import pytest
@@ -7,29 +7,24 @@ from boneage import optim
 from boneage.errors import ContractError, TrainingError
 from boneage.tensor import Tensor
 
-from reference import adam_trace_ref, sgd_trace_ref
+from reference import adam_trace_ref
 
 
-def _step_scalar(kind, lr, grads):
+def _step_scalar(lr, grads):
     params = {"p": Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)}
     state = optim.OptimizerState(learning_rate=lr)
     trace = []
     for g in grads:
-        optim.optimizer_step(params, {"p": np.array([g], dtype=np.float32)}, state, kind=kind)
+        params["p"].grad = np.array([g], dtype=np.float32)
+        optim.optimizer_step(params, state)
         trace.append(float(params["p"].data[0]))
     return trace
-
-
-def test_sgd_matches_hand_trace():
-    got = _step_scalar("sgd", 0.1, [1.0, 1.0, 0.5])
-    want = sgd_trace_ref(1.0, [1.0, 1.0, 0.5], 0.1)
-    np.testing.assert_allclose(got, want, atol=1e-6)
 
 
 def test_adaptive_matches_hand_trace():
     """With constant unit gradients and lr 0.1 the bias-corrected step is
     almost exactly lr each time: 1.0 -> 0.9 -> 0.8 -> 0.7."""
-    got = _step_scalar("adaptive", 0.1, [1.0, 1.0, 1.0])
+    got = _step_scalar(0.1, [1.0, 1.0, 1.0])
     np.testing.assert_allclose(got, [0.9, 0.8, 0.7], atol=1e-5)
     want = adam_trace_ref(1.0, [1.0, 1.0, 1.0], 0.1)
     # the state buffers are float32, so allow a few ulps against the
@@ -41,16 +36,9 @@ def test_adaptive_matches_hand_trace():
 def test_adaptive_matches_reference_on_random_gradients(seed):
     rng = np.random.default_rng(seed)
     grads = rng.standard_normal(8).tolist()
-    got = _step_scalar("adaptive", 0.03, grads)
+    got = _step_scalar(0.03, grads)
     want = adam_trace_ref(1.0, grads, 0.03)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
-
-
-def test_unknown_kind_rejected():
-    params = {"p": Tensor(np.zeros(1), requires_grad=True)}
-    state = optim.OptimizerState(learning_rate=0.1)
-    with pytest.raises(ContractError):
-        optim.optimizer_step(params, {"p": np.zeros(1)}, state, kind="rmsprop")
 
 
 def test_learning_rate_must_be_positive():
@@ -63,33 +51,33 @@ def test_missing_gradients_leave_parameters_untouched():
         "a": Tensor(np.array([1.0], dtype=np.float32), requires_grad=True),
         "b": Tensor(np.array([2.0], dtype=np.float32), requires_grad=True),
     }
+    params["a"].grad = np.array([1.0], dtype=np.float32)
     state = optim.OptimizerState(learning_rate=0.5)
-    optim.optimizer_step(params, {"a": np.array([1.0], dtype=np.float32)}, state, kind="sgd")
-    assert params["a"].data[0] == pytest.approx(0.5)
+    optim.optimizer_step(params, state)
+    assert params["a"].data[0] == pytest.approx(adam_trace_ref(1.0, [1.0], 0.5)[0], abs=1e-5)
     assert params["b"].data[0] == 2.0
+    assert set(state.m) == {"a"}
 
 
 def test_shape_mismatch_rejected():
     params = {"a": Tensor(np.zeros((2, 2)), requires_grad=True)}
+    params["a"].grad = np.zeros(3, dtype=np.float32)
     state = optim.OptimizerState(learning_rate=0.1)
     with pytest.raises(ContractError):
-        optim.optimizer_step(params, {"a": np.zeros(3)}, state, kind="sgd")
+        optim.optimizer_step(params, state)
 
 
 def test_non_finite_gradient_raises_naming_the_parameter():
     params = {"fc.w": Tensor(np.zeros(2), requires_grad=True)}
+    params["fc.w"].grad = np.array([np.nan, 0.0], dtype=np.float32)
     state = optim.OptimizerState(learning_rate=0.1)
     with pytest.raises(TrainingError, match="fc.w"):
-        optim.optimizer_step(
-            params, {"fc.w": np.array([np.nan, 0.0], dtype=np.float32)}, state, kind="sgd"
-        )
+        optim.optimizer_step(params, state)
 
 
-def test_collect_and_zero_grads():
+def test_zero_grads_clears_every_gradient():
     p = Tensor(np.zeros(2), requires_grad=True)
     q = Tensor(np.zeros(2), requires_grad=True)
     p.grad = np.ones(2, dtype=np.float32)
-    grads = optim.collect_grads({"p": p, "q": q})
-    assert set(grads) == {"p"}
     optim.zero_grads({"p": p, "q": q})
-    assert p.grad is None
+    assert p.grad is None and q.grad is None

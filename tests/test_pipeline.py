@@ -10,12 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boneage.age_estimation import ReferenceAtlas, save_atlas
+from boneage.age_estimation import AgeConfig, ReferenceAtlas, save_atlas, train_age
 from boneage.checkpoint import save_checkpoint
-from boneage.errors import CheckpointError, ContractError, StartupError
+from boneage.errors import CheckpointError, ContractError, StartupError, TrainingError
 from boneage.imaging import save_image
+from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_phantom
-from boneage.segmentation import build_unet
+from boneage.roi import RpnConfig, train_roi
+from boneage.segmentation import UNetConfig, build_unet, train_segmentation
 from boneage.pipeline import (
     STAGES,
     Pipeline,
@@ -24,12 +26,17 @@ from boneage.pipeline import (
     build_phantom_atlas,
     holdout_phantoms,
     masked_bone_image,
+    prepared_box,
     roi_data,
     run_pipeline,
+    segmentation_data,
+    train_age_stage,
+    train_roi_stage,
+    train_segmentation_stage,
     training_phantoms,
 )
 
-from conftest import make_config, prepared_truth_box
+from conftest import make_config
 
 
 def _sample(seed=0, maturity=0.5, joint=True):
@@ -64,7 +71,7 @@ def test_roi_data_scales_boxes_into_the_net_frame():
 def test_roi_data_box_matches_the_prepared_truth():
     s = _sample(4)
     (_, box, _), = roi_data([s], (96, 128))
-    want = prepared_truth_box(s).scaled(96 / 720, 128 / 960)
+    want = prepared_box(s).scaled(96 / 720, 128 / 960)
     assert box.as_tuple() == pytest.approx(want.as_tuple(), abs=1e-6)
 
 
@@ -101,6 +108,67 @@ def test_zero_count_is_not_the_configured_count(tmp_path, phantoms):
 
 
 # ---------------------------------------------------------------------------
+# training stages
+# ---------------------------------------------------------------------------
+
+TRAINERS = {"segmentation": train_segmentation, "localization": train_roi, "age": train_age}
+
+
+def _tiny_config(tmp_path):
+    """Small nets, and recipes that differ from stage to stage, so a
+    stage that trained with another stage's recipe would show."""
+    cfg = make_config(tmp_path, seed=3)
+    cfg.unet = UNetConfig(depth=2, base_channels=4, input_size=(32, 32))
+    cfg.rpn = RpnConfig(backbone_channels=(4, 8), input_size=(48, 64), hidden=16)
+    cfg.age = AgeConfig(input_size=(32, 32), backbone_channels=(4, 8), hidden=16)
+    cfg.seg_train = TrainSettings(epochs=2, learning_rate=5e-3, batch_size=3)
+    cfg.roi_train = TrainSettings(epochs=3, learning_rate=4e-3, batch_size=2)
+    cfg.age_train = TrainSettings(epochs=2, learning_rate=3e-3, batch_size=1)
+    return cfg
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_stage_trains_with_the_config_recipe(tmp_path, stage):
+    """A stage is its trainer on the stage's data with the config's
+    TrainSettings and seed: the checkpoints match byte for byte."""
+    cfg = _tiny_config(tmp_path)
+    samples = training_phantoms(cfg, 5)
+    seg = build_unet(cfg.unet, seed=5)
+    staged, data = {
+        "segmentation": (
+            lambda: train_segmentation_stage(cfg, samples),
+            lambda: segmentation_data(samples),
+        ),
+        "localization": (
+            lambda: train_roi_stage(cfg, samples),
+            lambda: roi_data(samples, cfg.rpn.input_size),
+        ),
+        "age": (
+            lambda: train_age_stage(cfg, samples, seg_model=seg),
+            lambda: age_data_deployed(samples, ReferenceAtlas(), cfg.age.input_size, seg, seed=cfg.seed),
+        ),
+    }[stage]
+    history = staged()[-1]
+    build, geometry, checkpoint, settings = STAGES[stage]
+    model, direct = TRAINERS[stage](
+        build(getattr(cfg, geometry), seed=cfg.seed), data(), getattr(cfg, settings), seed=cfg.seed
+    )
+    save_checkpoint(tmp_path / "direct.ckpt", model.params)
+    assert history == direct
+    assert len(history) == getattr(cfg, settings).epochs
+    assert getattr(cfg, checkpoint).read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_fit_rejects_an_empty_dataset_naming_the_stage(tmp_path, stage):
+    cfg = _tiny_config(tmp_path)
+    build, geometry, _, settings = STAGES[stage]
+    label = {"segmentation": "seg", "localization": "roi", "age": "age"}[stage]
+    with pytest.raises(TrainingError, match=f"^{label} training needs at least one sample$"):
+        TRAINERS[stage](build(getattr(cfg, geometry)), [], getattr(cfg, settings))
+
+
+# ---------------------------------------------------------------------------
 # startup errors
 # ---------------------------------------------------------------------------
 
@@ -130,8 +198,6 @@ def test_load_prefixes_corrupt_checkpoint_errors(tmp_path):
 
 
 def test_load_rejects_checkpoint_from_a_different_geometry(tmp_path):
-    from boneage.segmentation import UNetConfig, build_unet
-
     cfg = make_config(tmp_path)
     other = build_unet(UNetConfig(depth=2, base_channels=4, input_size=(32, 32)), seed=0)
     save_checkpoint(cfg.seg_checkpoint, other.params)

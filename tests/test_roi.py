@@ -5,6 +5,7 @@ import pytest
 
 from boneage.errors import ConfigError, ContractError, DimensionError, TrainingError
 from boneage.imaging import GrayImage, rotate
+from boneage.optim import TrainSettings
 from boneage.roi import (
     PREPARED_HEIGHT,
     PREPARED_WIDTH,
@@ -26,6 +27,7 @@ from boneage.tensor import Tensor
 from reference import iou_grid_ref
 
 SMALL = RpnConfig(backbone_channels=(4, 8, 8), input_size=(48, 64), hidden=32)
+ONE_EPOCH = TrainSettings(epochs=1, learning_rate=2e-3, batch_size=8)
 
 
 def _tenth(rng, lo, hi):
@@ -269,17 +271,12 @@ def _boxed_image(rng, width, height, box):
     return GrayImage(px)
 
 
-def test_train_requires_samples():
-    with pytest.raises(TrainingError):
-        train_roi(build_rpn(SMALL, seed=0), [])
-
-
 def test_train_rejects_out_of_frame_positive_box():
     rng = np.random.default_rng(0)
     img = GrayImage(rng.random((64, 48), dtype=np.float32))
     bad = RoiBox(40, 40, 20, 30)
     with pytest.raises(ContractError, match="sample 0"):
-        train_roi(build_rpn(SMALL, seed=0), [(img, bad, True)], epochs=1)
+        train_roi(build_rpn(SMALL, seed=0), [(img, bad, True)], ONE_EPOCH)
 
 
 def test_train_on_negatives_only_runs():
@@ -288,7 +285,7 @@ def test_train_on_negatives_only_runs():
         (GrayImage(rng.random((64, 48), dtype=np.float32)), RoiBox(0, 0, 1, 1), False)
         for _ in range(4)
     ]
-    model, history = train_roi(build_rpn(SMALL, seed=0), data, epochs=2)
+    model, history = train_roi(build_rpn(SMALL, seed=0), data, TrainSettings(2, 2e-3, 8))
     assert len(history) == 2
     assert all(np.isfinite(h) for h in history)
 
@@ -299,7 +296,7 @@ def test_train_reports_epoch_and_batch_on_blowup():
     model = build_rpn(SMALL, seed=0)
     model.params["head_conf.b"].data[:] = np.nan
     with pytest.raises(TrainingError, match="epoch 0, batch 0"):
-        train_roi(model, [(img, RoiBox(10, 10, 20, 20), True)], epochs=1)
+        train_roi(model, [(img, RoiBox(10, 10, 20, 20), True)], ONE_EPOCH)
 
 
 def test_train_is_deterministic():
@@ -308,7 +305,7 @@ def test_train_is_deterministic():
     data = [(_boxed_image(rng, 48, 64, box), box, True) for _ in range(3)]
     runs = []
     for _ in range(2):
-        model, history = train_roi(build_rpn(SMALL, seed=5), data, epochs=3, seed=7)
+        model, history = train_roi(build_rpn(SMALL, seed=5), data, TrainSettings(3, 2e-3, 8), seed=7)
         runs.append((history, {n: t.data.tobytes() for n, t in model.params.items()}))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
@@ -317,7 +314,6 @@ def test_train_is_deterministic():
 def test_fit_steps_every_batch_and_logs_once_per_epoch(monkeypatch):
     # the benchmark times steps by rebinding nn.minibatches and epochs by log_fn
     from boneage import nn
-    from boneage.optim import OptimizerConfig
 
     steps = []
     orig = nn.minibatches
@@ -335,8 +331,7 @@ def test_fit_steps_every_batch_and_logs_once_per_epoch(monkeypatch):
     _, history = train_roi(
         build_rpn(SMALL, seed=0),
         data,
-        epochs=2,
-        optimizer=OptimizerConfig(kind="adaptive", learning_rate=1e-3, batch_size=2),
+        TrainSettings(epochs=2, learning_rate=1e-3, batch_size=2),
         log_fn=logged.append,
     )
     assert steps == [2, 2, 1] * 2  # 3 batches per epoch x 2 epochs
@@ -344,8 +339,6 @@ def test_fit_steps_every_batch_and_logs_once_per_epoch(monkeypatch):
 
 
 def test_single_sample_overfit_localizes():
-    from boneage.optim import OptimizerConfig
-
     rng = np.random.default_rng(4)
     # box on the prepared frame; the trainer scales it to net input
     truth = RoiBox(200.0, 350.0, 180.0, 220.0)
@@ -354,8 +347,7 @@ def test_single_sample_overfit_localizes():
     model, _ = train_roi(
         model,
         [(img, truth, True)],
-        epochs=300,
-        optimizer=OptimizerConfig(kind="adaptive", learning_rate=3e-3, batch_size=1),
+        TrainSettings(epochs=300, learning_rate=3e-3, batch_size=1),
         seed=0,
     )
     pred, confidence = predict_roi(model, img)

@@ -5,11 +5,11 @@ import pytest
 
 from boneage.errors import ConfigError, DimensionError, TrainingError
 from boneage.imaging import GrayImage
+from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_phantom
+from boneage.roi import RAW_HEIGHT, RAW_WIDTH
 from boneage.segmentation import (
     UNetConfig,
-    WORK_HEIGHT,
-    WORK_WIDTH,
     build_unet,
     dice_score,
     segment,
@@ -21,6 +21,7 @@ from boneage.tensor import Tensor
 from reference import dice_mask_ref
 
 TINY = UNetConfig(depth=2, base_channels=4, input_size=(32, 32))
+ONE_EPOCH = TrainSettings(epochs=1, learning_rate=1e-3, batch_size=16)
 
 
 def _zeroed(model):
@@ -110,7 +111,7 @@ def test_segment_output_sizes():
     img = GrayImage(np.random.default_rng(2).random((200, 300), dtype=np.float32))
     mask, bone = segment(model, img)
     assert (mask.width, mask.height) == TINY.input_size
-    assert (bone.width, bone.height) == (WORK_WIDTH, WORK_HEIGHT) == (720, 480)
+    assert (bone.width, bone.height) == (RAW_WIDTH, RAW_HEIGHT) == (720, 480)
 
 
 def test_segment_never_brightens_pixels():
@@ -120,7 +121,7 @@ def test_segment_never_brightens_pixels():
     _, bone = segment(model, img)
     from boneage.imaging import resize_bilinear
 
-    plain = resize_bilinear(resize_bilinear(img, 32, 32), WORK_WIDTH, WORK_HEIGHT)
+    plain = resize_bilinear(resize_bilinear(img, 32, 32), RAW_WIDTH, RAW_HEIGHT)
     assert np.all(bone.pixels <= plain.pixels + 1e-6)
 
 
@@ -188,30 +189,25 @@ def _phantom_pair(seed):
     return s.image, s.bone_mask
 
 
-def test_training_requires_samples():
-    with pytest.raises(TrainingError):
-        train_segmentation(build_unet(TINY, seed=0), [])
-
-
 def test_training_rejects_non_binary_mask_at_net_size():
     img = GrayImage(np.random.default_rng(0).random((32, 32), dtype=np.float32))
     mask = GrayImage(np.full((32, 32), 0.3, dtype=np.float32))
     with pytest.raises(TrainingError, match="not binary"):
-        train_segmentation(build_unet(TINY, seed=0), [(img, mask)], epochs=1)
+        train_segmentation(build_unet(TINY, seed=0), [(img, mask)], ONE_EPOCH)
 
 
 def test_training_rejects_mismatched_pair_sizes():
     img = GrayImage(np.zeros((32, 32), dtype=np.float32))
     mask = GrayImage(np.zeros((16, 32), dtype=np.float32))
     with pytest.raises(DimensionError, match="sample 0"):
-        train_segmentation(build_unet(TINY, seed=0), [(img, mask)], epochs=1)
+        train_segmentation(build_unet(TINY, seed=0), [(img, mask)], ONE_EPOCH)
 
 
 def test_training_reports_epoch_and_batch_on_blowup():
     model = build_unet(TINY, seed=0)
     model.params["head.b"].data[:] = np.nan
     with pytest.raises(TrainingError, match="epoch 0, batch 0"):
-        train_segmentation(model, [_phantom_pair(0)], epochs=1)
+        train_segmentation(model, [_phantom_pair(0)], ONE_EPOCH)
 
 
 def test_training_is_deterministic():
@@ -219,7 +215,7 @@ def test_training_is_deterministic():
     for _ in range(2):
         model = build_unet(TINY, seed=1)
         model, history = train_segmentation(
-            model, [_phantom_pair(0), _phantom_pair(1)], epochs=3, seed=9
+            model, [_phantom_pair(0), _phantom_pair(1)], TrainSettings(3, 1e-3, 16), seed=9
         )
         runs.append((history, {n: t.data.tobytes() for n, t in model.params.items()}))
     assert runs[0][0] == runs[1][0]
@@ -227,7 +223,6 @@ def test_training_is_deterministic():
 
 
 def test_single_sample_overfit_drives_dice_loss_down():
-    from boneage.optim import OptimizerConfig
     from boneage.tensor import Tape, loss
 
     pair = _phantom_pair(3)
@@ -235,8 +230,7 @@ def test_single_sample_overfit_drives_dice_loss_down():
     model, history = train_segmentation(
         model,
         [pair],
-        epochs=120,
-        optimizer=OptimizerConfig(kind="adaptive", learning_rate=1e-2, batch_size=1),
+        TrainSettings(epochs=120, learning_rate=1e-2, batch_size=1),
         seed=0,
     )
     assert history[-1] < history[0]

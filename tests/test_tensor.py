@@ -534,7 +534,7 @@ def _train_bytes(seed):
             out = T.dense(T.flatten(h), params["fc.w"], params["fc.b"])
             l = T.loss(T.sigmoid(out), T.Tensor(y), "bce")
             tape.backward(l)
-        optim.optimizer_step(params, optim.collect_grads(params), state, kind="adaptive")
+        optim.optimizer_step(params, state)
     return b"".join(p.data.tobytes() for p in params.values())
 
 
