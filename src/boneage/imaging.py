@@ -4,18 +4,28 @@ A GrayImage is a (height, width) float32 array with values in [0, 1].
 File formats: binary PGM (P5, maxval 255) both ways, 8-bit PNG read-only
 (RGB collapsed with luminance weights 0.299/0.587/0.114).
 
-``resize_bilinear`` is separable: it blends along x over only the source
-rows the output reads, then along y. Every output pixel still goes through
-the same float32 operations in the same order as a direct 2-D gather
-(x-blend of both tapped rows, y-blend, clip to [0, 1]), so its output is
-byte-identical to that gather; ``tests/test_imaging.py`` holds it to a
-gather oracle byte for byte.
+Lazy images. ``resize_bilinear``, a quarter-turn ``rotate`` and ``crop``
+return a lazy image: it holds its source, per-axis taps and its size,
+not pixels. Asking a lazy image for a sub-grid of rows and columns asks
+its source only for the rows and columns those taps read, recursively,
+so a chain such as resize -> quarter turn -> resize -> crop -> resize
+computes only the pixels its last consumer reads. Reading ``.pixels``
+evaluates the full grid once and caches it. Images are values: do not
+mutate ``.pixels`` in place, since a lazy image derived from an image
+reads that image's pixels when it is evaluated, and a lazy image caches
+what it computed.
+
+The bilinear blend (``_blend``) gives every output pixel the same
+float32 operations in the same order as a direct 2-D gather (x-blend of
+both tapped rows, y-blend, clip to [0, 1]), whatever sub-grid it is
+evaluated on, so a lazy chain is byte-identical to the eager chain of
+full frames; ``tests/test_imaging.py`` holds both to their oracles byte
+for byte.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,27 +35,40 @@ from .errors import ContractError, ImageIOError
 _RGB_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float32)
 
 
-@dataclass
 class GrayImage:
-    """Single-channel image, pixels row-major in [0, 1]."""
+    """Single-channel image, pixels row-major in [0, 1]; eager or lazy."""
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.pixels, dtype=np.float32)
+    def __init__(self, pixels):
+        a = np.asarray(pixels, dtype=np.float32)
         if a.ndim != 2:
             raise ContractError(f"GrayImage needs a 2-d array, got {a.ndim}-d")
         if a.size == 0:
             raise ContractError("GrayImage must have at least one pixel")
-        self.pixels = a
+        self._pixels = a
+        self._plan = None
+        self.height, self.width = a.shape
+
+    @classmethod
+    def _lazy(cls, source: "GrayImage", ytaps, xtaps, swap: bool = False) -> "GrayImage":
+        """An image of ``source`` through per-axis taps, not yet evaluated.
+
+        A tap set is ``(index,)``, one source index per output index
+        (crops and quarter turns), or ``(i0, i1, weight of i1)`` (bilinear
+        resampling). With ``swap`` the output's rows run along the
+        source's columns: ``ytaps`` index source columns, ``xtaps`` rows.
+        """
+        img = cls.__new__(cls)
+        img._pixels = None
+        img._plan = (source, ytaps, xtaps, swap)
+        img.height, img.width = len(ytaps[0]), len(xtaps[0])
+        return img
 
     @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
+    def pixels(self) -> np.ndarray:
+        if self._pixels is None:
+            self._pixels = _region(self, np.arange(self.height), np.arange(self.width))
+            self._plan = None  # the source chain is no longer needed
+        return self._pixels
 
     @classmethod
     def from_array(cls, a, clip: bool = False) -> "GrayImage":
@@ -60,6 +83,10 @@ class GrayImage:
 
     def copy(self) -> "GrayImage":
         return GrayImage(self.pixels.copy())
+
+    def __repr__(self) -> str:
+        state = "lazy" if self._pixels is None else "eager"
+        return f"GrayImage({self.width}x{self.height}, {state})"
 
 
 # ---------------------------------------------------------------------------
@@ -172,54 +199,89 @@ def _axis_taps(n_in: int, n_out: int):
     return i0, i1, (c - i0).astype(np.float32)
 
 
-def resize_bilinear(img: GrayImage, new_width: int, new_height: int) -> GrayImage:
-    """Bilinear resize with independent axis scaling and edge clamping."""
-    if new_width < 1 or new_height < 1:
-        raise ContractError(f"target extents must be >= 1, got {new_width}x{new_height}")
-    px = img.pixels
-    h, w = px.shape
-    if (new_width, new_height) == (w, h):
-        return img.copy()
-    x0, x1, fx = _axis_taps(w, new_width)
-    y0, y1, fy = _axis_taps(h, new_height)
+def _blend(px, y0, y1, fy, x0, x1, fx) -> np.ndarray:
+    """Bilinear blend of ``px`` at per-axis taps into ``px``'s own rows and
+    columns: x-blend of the rows, pick both tapped rows, y-blend, clip.
+
+    ``_region`` hands in only the rows and columns the taps read, so no
+    row is x-blended in vain.
+    """
     gx = 1.0 - fx
-
-    def blend_x(rows):
-        out = np.take(rows, x0, axis=1)
-        out *= gx
-        right = np.take(rows, x1, axis=1)
-        right *= fx
-        out += right
-        return out
-
-    if 2 * new_height < h:  # blend only the rows the y-taps read
-        top = blend_x(np.take(px, y0, axis=0))
-        bot = blend_x(np.take(px, y1, axis=0))
-    else:
-        rows = blend_x(px)
-        top = np.take(rows, y0, axis=0)
-        bot = np.take(rows, y1, axis=0)
+    rows = np.take(px, x0, axis=1)
+    rows *= gx
+    right = np.take(px, x1, axis=1)
+    right *= fx
+    rows += right
+    top = np.take(rows, y0, axis=0)
+    bot = np.take(rows, y1, axis=0)
     top *= (1.0 - fy)[:, None]
     bot *= fy[:, None]
     top += bot
     np.clip(top, 0.0, 1.0, out=top)
-    return GrayImage(top)
+    return top
 
 
-def _rot90_exact(px: np.ndarray, quarter_turns: int) -> np.ndarray:
-    # +90 maps the old top-right corner to the new top-left
-    return np.rot90(px, k=quarter_turns % 4)
+def _region(img: GrayImage, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``img.pixels[np.ix_(rows, cols)]``, evaluating only those pixels.
+
+    A resampled image fetches from its source the sub-grid of the rows
+    and columns its taps read (``np.unique``), and blends it with the
+    taps renumbered into that sub-grid.
+    """
+    if img._pixels is not None:
+        return img._pixels[np.ix_(rows, cols)]
+    source, ytaps, xtaps, swap = img._plan
+    if len(ytaps) == 1:  # index selection: a crop or a quarter turn
+        if swap:
+            return np.ascontiguousarray(_region(source, xtaps[0][cols], ytaps[0][rows]).T)
+        return _region(source, ytaps[0][rows], xtaps[0][cols])
+    y0, y1, fy = (t[rows] for t in ytaps)
+    x0, x1, fx = (t[cols] for t in xtaps)
+    src_rows, yi = np.unique(np.concatenate([y0, y1]), return_inverse=True)
+    src_cols, xi = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+    n, m = len(rows), len(cols)
+    sub = _region(source, src_rows, src_cols)
+    return _blend(sub, yi[:n], yi[n:], fy, xi[:m], xi[m:], fx)
+
+
+def resize_bilinear(img: GrayImage, new_width: int, new_height: int) -> GrayImage:
+    """Bilinear resize with independent axis scaling and edge clamping (lazy)."""
+    if new_width < 1 or new_height < 1:
+        raise ContractError(f"target extents must be >= 1, got {new_width}x{new_height}")
+    if (new_width, new_height) == (img.width, img.height):
+        return img.copy()
+    return GrayImage._lazy(
+        img, _axis_taps(img.height, new_height), _axis_taps(img.width, new_width)
+    )
+
+
+def crop(img: GrayImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
+    """The pixel rectangle [x0, x1) x [y0, y1) of ``img`` (lazy)."""
+    if not (0 <= x0 < x1 <= img.width and 0 <= y0 < y1 <= img.height):
+        raise ContractError(
+            f"crop [{x0}, {x1}) x [{y0}, {y1}) not inside a {img.width}x{img.height} image"
+        )
+    return GrayImage._lazy(img, (np.arange(y0, y1),), (np.arange(x0, x1),))
 
 
 def rotate(img: GrayImage, degrees: float) -> GrayImage:
     """Rotate about the image center; out-of-frame samples are 0.
 
-    Multiples of 90 degrees are exact index permutations (no resampling);
-    other angles use bilinear sampling.
+    Multiples of 90 degrees are exact, lazy index permutations (no
+    resampling; +90 maps the old top-right corner to the new top-left, as
+    ``np.rot90`` does); other angles use bilinear sampling.
     """
     degrees = float(degrees)
     if degrees % 90.0 == 0.0:
-        return GrayImage(np.ascontiguousarray(_rot90_exact(img.pixels, int(degrees // 90))))
+        turns = int(degrees // 90) % 4
+        rows, cols = np.arange(img.height), np.arange(img.width)
+        if turns in (1, 2):
+            cols = cols[::-1]
+        if turns in (2, 3):
+            rows = rows[::-1]
+        if turns % 2:  # output row i reads source column cols[i]
+            return GrayImage._lazy(img, (cols,), (rows,), swap=True)
+        return GrayImage._lazy(img, (rows,), (cols,))
     h, w = img.pixels.shape
     theta = math.radians(degrees)
     c, s = math.cos(theta), math.sin(theta)

@@ -1,7 +1,10 @@
 """End-to-end orchestration: data preparation, training, prediction.
 
 The prediction path runs load -> segment (720x480 bone image) ->
-prepare (720x960) -> localize -> crop -> estimate age. The
+prepare (720x960) -> localize -> crop -> estimate age. The 720-scale
+images are lazy (see ``imaging``): a prediction computes only the pixels
+the localizer input and the crop read, and the full frames are built
+only where they are written out (``dump_dir``). The
 localization stage is teacher-forced: exact phantom masks and boxes
 are pushed through the same geometric chain the predictor uses. The
 age stage instead crops from the *trained segmenter's* bone output
@@ -54,13 +57,19 @@ LogFn = Optional[Callable[[str], None]]
 
 @dataclass
 class PredictionRecord:
-    """One pipeline output: `image_path age_months nearest_class confidence`."""
+    """One pipeline output: `image_path age_months nearest_class confidence`,
+    then a `low_confidence` and an `empty_mask` token where those flags are set.
+
+    ``empty_mask`` means the segmenter kept no pixel, so the age came from
+    an all-zero bone image.
+    """
 
     image_path: str
     age_months: float
     nearest_class: int
     confidence: float
     low_confidence: bool
+    empty_mask: bool = False
 
     def format_line(self) -> str:
         line = (
@@ -69,6 +78,8 @@ class PredictionRecord:
         )
         if self.low_confidence:
             line += " low_confidence"
+        if self.empty_mask:
+            line += " empty_mask"
         return line
 
 
@@ -355,6 +366,7 @@ class Pipeline:
             nearest_class=estimate.nearest_class,
             confidence=confidence,
             low_confidence=confidence < self.config.confidence_threshold,
+            empty_mask=not np.any(mask.pixels >= self.seg_model.config.threshold),
         )
 
     def predict_path(self, image_path, dump_dir: Optional[Path] = None) -> PredictionRecord:

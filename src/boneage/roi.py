@@ -23,7 +23,7 @@ import numpy as np
 
 from . import nn
 from .errors import ContractError
-from .imaging import GrayImage, resize_bilinear, rotate
+from .imaging import GrayImage, crop, resize_bilinear, rotate
 from .optim import TrainSettings
 from .tensor import Tensor, add, dense, loss, select_rows, sigmoid
 
@@ -127,8 +127,7 @@ def crop_roi(
     y0 = max(0, int(math.floor(box.y)))
     x1 = min(img.width, max(x0 + 1, int(math.ceil(box.x2))))
     y1 = min(img.height, max(y0 + 1, int(math.ceil(box.y2))))
-    patch = GrayImage(np.ascontiguousarray(img.pixels[y0:y1, x0:x1]))
-    return resize_bilinear(patch, out_width, out_height)
+    return resize_bilinear(crop(img, x0, y0, x1, y1), out_width, out_height)
 
 
 # ---------------------------------------------------------------------------

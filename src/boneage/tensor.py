@@ -232,7 +232,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         )
 
     if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
+        xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = x.data
     view = _im2col_view(xp, kh, kw, stride)
@@ -312,8 +313,13 @@ def upsample2x(x: Tensor) -> Tensor:
     out = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def bwd(g: np.ndarray):
-        dx = g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
-        return (dx,)
+        v = g.reshape(n, c, h, 2, w, 2)
+        if w == 1:  # here numpy's sum adds the four cells in another order
+            return (v.sum(axis=(3, 5)),)
+        # each 2x2 block summed in the order .sum(axis=(3, 5)) uses, minus its reduction loop
+        top = v[:, :, :, 0, :, 0] + v[:, :, :, 0, :, 1]
+        top += v[:, :, :, 1, :, 0] + v[:, :, :, 1, :, 1]
+        return (top,)
 
     return _make_output(out, (x,), bwd)
 

@@ -166,6 +166,14 @@ def upsample2x_ref(x):
     return out
 
 
+def upsample2x_grad_sum_ref(g):
+    """upsample2x's backward as one ``.sum`` over each 2x2 block: its
+    byte-exact oracle (float32, the reduction order of the earlier form)."""
+    g = np.asarray(g, dtype=np.float32)
+    n, c, h2, w2 = g.shape
+    return g.reshape(n, c, h2 // 2, 2, w2 // 2, 2).sum(axis=(3, 5))
+
+
 def concat_channels_ref(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -328,6 +336,27 @@ def resize_bilinear_gather_ref(px, out_w, out_h):
     top = px[y0, x0] * (1.0 - fx) + px[y0, x1] * fx
     bot = px[y1, x0] * (1.0 - fx) + px[y1, x1] * fx
     return np.clip(top * (1.0 - fy) + bot * fy, 0.0, 1.0)
+
+
+def eager_frames_ref(small_bone, raw_wh, prepared_wh):
+    """The eager prediction frames: (720x480 bone, 720x960 prepared).
+
+    Full float32 frames built the way the pipeline built them before its
+    images were lazy: resize, ``np.rot90``, resize, each through the
+    byte-exact gather oracle.
+    """
+    bone = resize_bilinear_gather_ref(small_bone, *raw_wh)
+    turned = np.ascontiguousarray(np.rot90(bone))
+    return bone, resize_bilinear_gather_ref(turned, *prepared_wh)
+
+
+def crop_resize_ref(px, box, out_w, out_h):
+    """A box cut out of a full frame by slicing, then resized (gather oracle)."""
+    x, y, w, h = box
+    x0, y0 = max(0, math.floor(x)), max(0, math.floor(y))
+    x1 = min(px.shape[1], max(x0 + 1, math.ceil(x + w)))
+    y1 = min(px.shape[0], max(y0 + 1, math.ceil(y + h)))
+    return resize_bilinear_gather_ref(np.ascontiguousarray(px[y0:y1, x0:x1]), out_w, out_h)
 
 
 def rot90_ref(px):

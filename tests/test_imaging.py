@@ -6,6 +6,7 @@ import pytest
 from boneage.errors import ContractError, ImageIOError
 from boneage.imaging import (
     GrayImage,
+    crop,
     flip_horizontal,
     load_image,
     resize_bilinear,
@@ -290,6 +291,75 @@ def test_rotate_preserves_unit_interval():
     img = _random_image(rng, 16, 16)
     out = rotate(img, 15.0)
     assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# lazy images: crop, quarter turns and chains
+# ---------------------------------------------------------------------------
+
+
+def test_crop_is_the_pixel_rectangle():
+    rng = np.random.default_rng(10)
+    img = _random_image(rng, 9, 12)
+    for x0, y0, x1, y1 in [(0, 0, 12, 9), (3, 2, 7, 8), (11, 8, 12, 9), (0, 5, 1, 6)]:
+        out = crop(img, x0, y0, x1, y1)
+        assert (out.width, out.height) == (x1 - x0, y1 - y0)
+        assert out.pixels.tobytes() == img.pixels[y0:y1, x0:x1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "rect", [(-1, 0, 3, 3), (0, 0, 13, 9), (0, 0, 12, 10), (4, 2, 4, 5), (0, 3, 5, 2)]
+)
+def test_crop_rejects_rectangles_off_the_image(rect):
+    img = GrayImage(np.zeros((9, 12), dtype=np.float32))
+    with pytest.raises(ContractError, match="crop"):
+        crop(img, *rect)
+
+
+@pytest.mark.parametrize("degrees", [-270.0, -90.0, 0.0, 90.0, 180.0, 270.0, 450.0])
+def test_quarter_turns_of_lazy_images_match_rot90(degrees):
+    rng = np.random.default_rng(11)
+    eager = _random_image(rng, 7, 10)
+    lazy = resize_bilinear(eager, 13, 5)
+    for img in (eager, lazy):
+        want = np.rot90(img.pixels, k=int(degrees // 90) % 4)
+        assert rotate(img, degrees).pixels.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_lazy_chain_is_byte_identical_to_the_eager_chain(seed):
+    rng = np.random.default_rng(700 + seed)
+    h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
+    img = lazy = _random_image(rng, h, w)
+    px = img.pixels
+    for step in range(4):
+        kind = ("resize", "rotate", "crop")[int(rng.integers(0, 3))]
+        if kind == "resize":
+            out_w, out_h = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+            lazy = resize_bilinear(lazy, out_w, out_h)
+            px = resize_bilinear_gather_ref(px, out_w, out_h)
+        elif kind == "rotate":
+            k = int(rng.integers(-3, 4))
+            lazy, px = rotate(lazy, 90.0 * k), np.ascontiguousarray(np.rot90(px, k=k % 4))
+        else:
+            h, w = px.shape
+            y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
+            y1, x1 = int(rng.integers(y0 + 1, h + 1)), int(rng.integers(x0 + 1, w + 1))
+            lazy, px = crop(lazy, x0, y0, x1, y1), px[y0:y1, x0:x1]
+        assert (lazy.height, lazy.width) == px.shape
+    assert lazy.pixels.dtype == np.float32
+    assert lazy.pixels.tobytes() == np.ascontiguousarray(px).tobytes()
+
+
+def test_lazy_image_evaluates_once_and_leaves_its_source_alone():
+    rng = np.random.default_rng(12)
+    src = _random_image(rng, 6, 8)
+    before = src.pixels.tobytes()
+    out = resize_bilinear(rotate(src, 90.0), 20, 30)
+    assert (out.width, out.height) == (20, 30)
+    first = out.pixels
+    assert out.pixels is first
+    assert src.pixels.tobytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boneage.age_estimation import AgeConfig, ReferenceAtlas, save_atlas, train_age
+from boneage import imaging
+from boneage.age_estimation import (
+    AgeConfig,
+    ReferenceAtlas,
+    build_age_model,
+    save_atlas,
+    train_age,
+)
 from boneage.checkpoint import save_checkpoint
 from boneage.errors import CheckpointError, ContractError, StartupError, TrainingError
-from boneage.imaging import save_image
+from boneage.imaging import load_image, save_image
 from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_phantom
-from boneage.roi import RpnConfig, train_roi
+from boneage.roi import RpnConfig, build_rpn, train_roi
 from boneage.segmentation import UNetConfig, build_unet, train_segmentation
 from boneage.pipeline import (
     STAGES,
@@ -250,6 +257,71 @@ def test_record_format_line():
     assert rec.format_line() == "a.pgm 151.3 4 0.9877"
     rec.low_confidence = True
     assert rec.format_line().endswith(" low_confidence")
+    rec.empty_mask = True
+    assert rec.format_line() == "a.pgm 151.3 4 0.9877 low_confidence empty_mask"
+    rec.low_confidence = False
+    assert rec.format_line() == "a.pgm 151.3 4 0.9877 empty_mask"
+
+
+def _untrained_pipeline(tmp_path, head_bias=None):
+    """Seeded, untrained networks; ``head_bias`` pins the U-Net's output logit."""
+    cfg = make_config(tmp_path, seed=3)
+    seg = build_unet(cfg.unet, seed=3)
+    if head_bias is not None:
+        seg.params["head.w"].data[...] = 0.0
+        seg.params["head.b"].data[...] = head_bias
+    return Pipeline(
+        cfg, seg, build_rpn(cfg.rpn, seed=3), build_age_model(cfg.age, seed=3), ReferenceAtlas()
+    )
+
+
+def test_all_background_mask_is_flagged_empty(tmp_path):
+    image = _sample(4).image
+    empty = _untrained_pipeline(tmp_path, head_bias=-30.0).predict_image(image)
+    assert empty.empty_mask
+    assert empty.format_line().endswith(" empty_mask")
+    full = _untrained_pipeline(tmp_path, head_bias=30.0).predict_image(image)
+    assert not full.empty_mask
+    assert "empty_mask" not in full.format_line()
+
+
+def _count_blended_pixels(monkeypatch):
+    """Patch the resampler's blend core to count the pixels it produces."""
+    produced = []
+    blend = imaging._blend
+
+    def counting(*args):
+        out = blend(*args)
+        produced.append(out.size)
+        return out
+
+    monkeypatch.setattr(imaging, "_blend", counting)
+    return produced
+
+
+def test_prediction_without_dumps_builds_no_720_scale_frame(tmp_path, monkeypatch):
+    pipe = _untrained_pipeline(tmp_path)
+    image = _sample(5).image
+    want = pipe.predict_image(image).format_line()
+    produced = _count_blended_pixels(monkeypatch)
+    assert pipe.predict_image(image).format_line() == want
+    # the 720x480 and 720x960 frames alone would be 1.04 Mpix
+    assert 0 < sum(produced) < 300_000
+    assert max(produced) < 720 * 480
+
+
+def test_dumps_build_the_full_frames(tmp_path, monkeypatch):
+    pipe = _untrained_pipeline(tmp_path)
+    image = _sample(5).image
+    want = pipe.predict_image(image).format_line()
+    produced = _count_blended_pixels(monkeypatch)
+    dump = tmp_path / "debug"
+    assert pipe.predict_image(image, dump_dir=dump).format_line() == want
+    assert 720 * 480 in produced and 720 * 960 in produced
+    sizes = {name: load_image(dump / f"{name}.pgm") for name in ("mask", "bone", "prepared", "crop")}
+    assert {k: (v.width, v.height) for k, v in sizes.items()} == {
+        "mask": (96, 64), "bone": (720, 480), "prepared": (720, 960), "crop": (64, 64)
+    }
 
 
 # ---------------------------------------------------------------------------

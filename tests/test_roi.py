@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from boneage.errors import ConfigError, ContractError, DimensionError, TrainingError
-from boneage.imaging import GrayImage, rotate
+from boneage.imaging import GrayImage, resize_bilinear, rotate
 from boneage.optim import TrainSettings
 from boneage.roi import (
     PREPARED_HEIGHT,
     PREPARED_WIDTH,
+    RAW_HEIGHT,
+    RAW_WIDTH,
     RoiBox,
     RpnConfig,
     build_rpn,
@@ -24,7 +26,7 @@ from boneage.roi import (
 )
 from boneage.tensor import Tensor
 
-from reference import iou_grid_ref
+from reference import crop_resize_ref, eager_frames_ref, iou_grid_ref, resize_bilinear_gather_ref
 
 SMALL = RpnConfig(backbone_channels=(4, 8, 8), input_size=(48, 64), hidden=32)
 ONE_EPOCH = TrainSettings(epochs=1, learning_rate=2e-3, batch_size=8)
@@ -188,6 +190,56 @@ def test_crop_rejects_out_of_frame_boxes():
         crop_roi(img, RoiBox(40, 40, 20, 20))
     with pytest.raises(ContractError):
         crop_roi(img, RoiBox(-1, 0, 5, 5))
+
+
+# ---------------------------------------------------------------------------
+# the lazy frame chain against full eager frames
+# ---------------------------------------------------------------------------
+
+# full frame, boxes on the right and bottom edges, 1-pixel boxes, interior
+CHAIN_BOXES = [
+    (0.0, 0.0, 720.0, 960.0),
+    (650.3, 900.5, 69.7, 59.5),
+    (0.0, 811.0, 720.0, 149.0),
+    (604.0, 0.0, 116.0, 960.0),
+    (719.0, 959.0, 1.0, 1.0),
+    (0.0, 0.0, 1.0, 1.0),
+    (300.5, 400.25, 1.0, 1.0),
+    (719.5, 10.0, 0.5, 3.0),
+    (123.4, 567.8, 210.9, 97.1),
+]
+
+
+def _small_bone(seed):
+    """A net-size masked bone image: mostly zero with bright structure."""
+    rng = np.random.default_rng(seed)
+    px = rng.random((64, 96), dtype=np.float32)
+    px[rng.random((64, 96)) < 0.6] = 0.0
+    return px
+
+
+def _lazy_prepared(small):
+    bone = resize_bilinear(GrayImage(small), RAW_WIDTH, RAW_HEIGHT)  # as segment() leaves it
+    return bone, prepare_roi_input(bone)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lazy_frames_are_byte_identical_to_the_eager_chain(seed):
+    small = _small_bone(seed)
+    want_bone, want_prepared = eager_frames_ref(
+        small, (RAW_WIDTH, RAW_HEIGHT), (PREPARED_WIDTH, PREPARED_HEIGHT)
+    )
+    # localizer input, from a chain nothing else has evaluated
+    got = resize_bilinear(_lazy_prepared(small)[1], 96, 128).pixels
+    assert got.tobytes() == resize_bilinear_gather_ref(want_prepared, 96, 128).tobytes()
+    rng = np.random.default_rng(seed)
+    boxes = CHAIN_BOXES + [_random_box(rng, PREPARED_WIDTH, PREPARED_HEIGHT).as_tuple()]
+    for box in boxes:
+        got = crop_roi(_lazy_prepared(small)[1], RoiBox(*box), 64, 64).pixels
+        assert got.tobytes() == crop_resize_ref(want_prepared, box, 64, 64).tobytes(), box
+    bone, prepared = _lazy_prepared(small)
+    assert prepared.pixels.tobytes() == want_prepared.tobytes()
+    assert bone.pixels.tobytes() == want_bone.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from boneage import tensor as T
 from boneage.errors import ContractError, DimensionError
+from boneage.segmentation import UNetConfig
 
 from reference import (
     bce_ref,
@@ -25,6 +26,7 @@ from reference import (
     smooth_l1_ref,
     softmax_rows_ref,
     softmax_xent_ref,
+    upsample2x_grad_sum_ref,
     upsample2x_ref,
 )
 
@@ -219,6 +221,35 @@ def test_max_pool2d_routes_ties_to_the_first_maximal_cell():
     x = np.array(patterns, dtype=np.float32).reshape(1, len(patterns), 2, 2)
     g = np.arange(1, len(patterns) + 1, dtype=np.float32).reshape(1, len(patterns), 1, 1)
     _assert_pool_matches_argmax(x, g)
+
+
+def _unet_upsample_shapes(cfg):
+    """(C, H, W) of every upsample2x input in a U-Net of this geometry."""
+    return [
+        (cfg.level_channels(level + 1), cfg.height >> (level + 1), cfg.width >> (level + 1))
+        for level in reversed(range(cfg.depth))
+    ]
+
+
+# the default U-Net and the tests' tiny one, at N = 1-16, plus one-column
+# inputs, where the backward keeps numpy's own sum
+_UNETS = (UNetConfig(), UNetConfig(depth=2, base_channels=4, input_size=(32, 32)))
+UPSAMPLE_SHAPES = sorted(
+    {(n,) + chw for cfg in _UNETS for chw in _unet_upsample_shapes(cfg) for n in range(1, 17)}
+    | {(1, 1, 1, 1), (2, 3, 5, 1), (4, 2, 1, 1), (16, 8, 7, 1)}
+)
+
+
+@pytest.mark.parametrize("shape", UPSAMPLE_SHAPES)
+def test_upsample2x_backward_is_byte_identical_to_block_sum(shape):
+    n, c, h, w = shape
+    rng = np.random.default_rng(sum(shape) + 31 * n)
+    g = rng.standard_normal((n, c, 2 * h, 2 * w)).astype(np.float32)
+    with T.Tape() as tape:
+        T.upsample2x(T.Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True))
+    (dx,) = tape._entries[-1].backward_fn(g)
+    want = upsample2x_grad_sum_ref(g)
+    assert dx.shape == want.shape and dx.tobytes() == want.tobytes()
 
 
 def test_conv2d_input_without_grad_gets_none_and_the_same_parameter_grads():
