@@ -68,7 +68,7 @@ def init_dense(
 
 
 def conv_relu(x: Tensor, params: Dict[str, Tensor], name: str, padding: int = 1) -> Tensor:
-    return T.relu(T.conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=1, padding=padding))
+    return T.conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=1, padding=padding, relu=True)
 
 
 def conv_block(x: Tensor, params: Dict[str, Tensor], name: str) -> Tensor:

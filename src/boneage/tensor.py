@@ -11,10 +11,22 @@ Conventions:
   * losses reduce as mean over the batch axis, sum over remaining axes
     (dice is the exception: it is a global overlap ratio by definition).
   * gradients accumulate into Tensor.grad until optim.zero_grads clears them.
+  * an op never writes into its input arrays: backward rules read the
+    arrays they saw in the forward pass, relu's reads its own output.
+  * the tape stack is per context (a ContextVar), so a tape records only
+    the ops of the thread or task that opened it.
+
+relu is branch-free and bit-exact with ``where(x > 0, x, 0)``:
+``fmax(x, 0)`` maps NaN to 0, and adding +0.0 turns -0.0 into +0.0
+while every other value, infinities and subnormals included, passes
+unchanged. Its backward, and max_pool2d's, select with ``_keep``, which
+ANDs g's bits with the sign-extended mask (all ones where true): that is
+``where(mask, g, +0.0)`` exactly, -0.0 and NaN payloads in g included.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -90,7 +102,7 @@ class _TapeEntry:
         self.backward_fn = backward_fn
 
 
-_TAPE_STACK: list["Tape"] = []
+_TAPE_STACK: ContextVar[tuple] = ContextVar("boneage_tape_stack", default=())
 
 
 class Tape:
@@ -112,19 +124,21 @@ class Tape:
         self._entries: list[_TapeEntry] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        stack = _TAPE_STACK.get()
+        assert stack[-1] is self
+        _TAPE_STACK.set(stack[:-1])
 
     def __len__(self) -> int:
         return len(self._entries)
 
     @staticmethod
     def current() -> Optional["Tape"]:
-        return _TAPE_STACK[-1] if _TAPE_STACK else None
+        stack = _TAPE_STACK.get()
+        return stack[-1] if stack else None
 
     def record(self, out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> None:
         self._entries.append(_TapeEntry(out, inputs, backward_fn))
@@ -182,28 +196,48 @@ def _make_output(data: np.ndarray, inputs: Sequence[Tensor], backward_fn: Callab
     return out
 
 
+def _keep(mask: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``where(mask, g, +0.0)`` bit for bit; ``g`` must be float32."""
+    return (g.view(np.int32) & -mask.astype(np.int32)).view(np.float32)
+
+
+def _relu(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``where(a > 0, a, +0.0)`` bit for bit, into ``out`` if given."""
+    out = np.fmax(a, np.float32(0.0), out=out)
+    out += np.float32(0.0)  # fmax may keep -0.0
+    return out
+
+
 # ---------------------------------------------------------------------------
 # convolution and friends
 # ---------------------------------------------------------------------------
 
 def _im2col_view(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Strided (N, C, kh, kw, Ho, Wo) window view of a padded input."""
+    """Read-only strided (N, C, kh, kw, Ho, Wo) window view of a C-contiguous
+    padded input, made by the ndarray constructor (as_strided's Python
+    wrapper costs several times more per call)."""
     n, c, h, w = xp.shape
     ho = (h - kh) // stride + 1
     wo = (w - kw) // stride + 1
     s0, s1, s2, s3 = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
+    strides = (s0, s1, s2, s3, s2 * stride, s3 * stride)
+    view = np.ndarray((n, c, kh, kw, ho, wo), xp.dtype, xp, 0, strides)
+    view.flags.writeable = False
+    return view
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(
+    x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0, relu: bool = False
+) -> Tensor:
     """Cross-correlation of an NCHW batch with an FCkHkW kernel stack.
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
+    With ``relu=True`` the result is ``relu(conv2d(...))`` to the byte, as
+    one tape entry that keeps no pre-activation array: bias and relu are
+    applied in place on the fresh GEMM output, and the backward masks g
+    with ``_keep(out > 0, g)`` before the conv backward. ``out > 0`` holds
+    exactly where the pre-activation is > 0, and it is read from the
+    returned array, which is why no op may write into its inputs.
 
     Lowered to GEMMs (im2col): the forward multiplies the (F, C*kh*kw)
     kernel matrix by the (C*kh*kw, N*Ho*Wo) column matrix of the padded
@@ -235,7 +269,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
         xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
         xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
-        xp = x.data
+        xp = np.ascontiguousarray(x.data)
     view = _im2col_view(xp, kh, kw, stride)
     ho, wo = view.shape[4], view.shape[5]
     k2 = kernel.data.reshape(f, c * kh * kw)
@@ -244,8 +278,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: in
     out = np.dot(k2, cols).reshape(f, n, ho, wo)
     out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
     out += bias.data.reshape(1, f, 1, 1)
+    if relu:
+        _relu(out, out=out)
 
     def bwd(g: np.ndarray):
+        if relu:
+            g = _keep(out > 0, g)
         db = g.sum(axis=(0, 2, 3))
         g2 = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
         # dW keeps its (N*Ho*Wo, C*kh*kw) copy, freed right after the GEMM:
@@ -297,7 +335,7 @@ def max_pool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
         free = np.ones(out.shape, dtype=bool)  # windows whose gradient is unrouted
         for (i, j), corner in zip(_POOL_CORNERS, corners):
             hit = (corner == out) & free
-            dx[:, :, i::2, j::2] = np.where(hit, g, np.float32(0.0))
+            dx[:, :, i::2, j::2] = _keep(hit, g)
             free &= ~hit
         return (dx,)
 
@@ -423,11 +461,10 @@ def select_rows(x: Tensor, idx) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    mask = x.data > 0
-    out = np.where(mask, x.data, np.float32(0.0))
+    out = _relu(x.data)
 
     def bwd(g: np.ndarray):
-        return (np.where(mask, g, np.float32(0.0)),)
+        return (_keep(out > 0, g),)
 
     return _make_output(out, (x,), bwd)
 

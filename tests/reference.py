@@ -137,6 +137,26 @@ def max_pool2d_argmax_ref(x, g):
     return out, dx
 
 
+def max_pool2d_where_grad_ref(x, g):
+    """max_pool2d's backward as four ``np.where`` corner selects, float32.
+
+    The byte-exact oracle for the pool's select: the first maximal cell
+    of each window, in (0,0), (0,1), (1,0), (1,1) order, gets ``g`` and
+    every other cell +0.0 (no cell of a window holding NaN matches).
+    """
+    x = np.asarray(x, dtype=np.float32)
+    g = np.asarray(g, dtype=np.float32)
+    corners = [x[:, :, i::2, j::2] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    out = np.maximum(np.maximum(corners[0], corners[1]), np.maximum(corners[2], corners[3]))
+    dx = np.empty_like(x)
+    free = np.ones(out.shape, dtype=bool)
+    for (i, j), corner in zip(((0, 0), (0, 1), (1, 0), (1, 1)), corners):
+        hit = (corner == out) & free
+        dx[:, :, i::2, j::2] = np.where(hit, g, np.float32(0.0))
+        free &= ~hit
+    return dx
+
+
 def dense_ref(x, w, b):
     """(N, D) @ (D, M) + (M,), accumulated with python loops."""
     x = np.asarray(x, dtype=np.float64)
@@ -188,6 +208,18 @@ def concat_channels_ref(a, b):
 def relu_ref(x):
     x = np.asarray(x, dtype=np.float64)
     return np.where(x > 0, x, 0.0)
+
+
+def relu_where_ref(x, g):
+    """relu and its backward as float32 ``np.where`` selects: (out, dx).
+
+    The byte-exact oracle for the branch-free relu: ``x > 0`` keeps x
+    and g, everything else (NaN, -0.0, negatives) gives +0.0.
+    """
+    x = np.asarray(x, dtype=np.float32)
+    g = np.asarray(g, dtype=np.float32)
+    mask = x > 0
+    return np.where(mask, x, np.float32(0.0)), np.where(mask, g, np.float32(0.0))
 
 
 def sigmoid_ref(x):

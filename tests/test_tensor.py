@@ -1,12 +1,18 @@
 """Engine correctness: forward kernels against loop oracles, reverse-mode
 gradients against central finite differences of those oracles."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from boneage import nn
 from boneage import tensor as T
+from boneage.age_estimation import age_forward, build_age_model
 from boneage.errors import ContractError, DimensionError
-from boneage.segmentation import UNetConfig
+from boneage.roi import build_rpn, rpn_forward
+from boneage.segmentation import UNetConfig, build_unet, unet_forward
 
 from reference import (
     bce_ref,
@@ -18,10 +24,12 @@ from reference import (
     dice_ref,
     max_pool2d_argmax_ref,
     max_pool2d_ref,
+    max_pool2d_where_grad_ref,
     mse_ref,
     numeric_grad,
     rel_err,
     relu_ref,
+    relu_where_ref,
     sigmoid_ref,
     smooth_l1_ref,
     softmax_rows_ref,
@@ -182,6 +190,19 @@ def test_conv2d_is_byte_identical_to_tensordot(shape):
         assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes()
 
 
+def test_conv2d_windows_non_contiguous_and_read_only_inputs():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((2, 6, 7, 3)).astype(np.float32).transpose(0, 3, 1, 2)
+    read_only = np.ascontiguousarray(x)
+    read_only.flags.writeable = False
+    kern = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    want = conv2d_tensordot_ref(read_only, kern, b)
+    for data in (x, read_only):
+        got = T.conv2d(T.Tensor(data), T.Tensor(kern), T.Tensor(b))
+        assert got.data.tobytes() == want.tobytes()
+
+
 def _pool_with_grad(x, g):
     """Forward output and the pool's own backward rule applied to ``g``."""
     xt = T.Tensor(x, requires_grad=True)
@@ -250,6 +271,134 @@ def test_upsample2x_backward_is_byte_identical_to_block_sum(shape):
     (dx,) = tape._entries[-1].backward_fn(g)
     want = upsample2x_grad_sum_ref(g)
     assert dx.shape == want.shape and dx.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# branch-free relu and the fused conv + bias + relu, against np.where
+# ---------------------------------------------------------------------------
+
+def _f32_bits(*words):
+    return np.array(words, dtype=np.uint32).view(np.float32)
+
+
+# +-0, quiet NaNs of either sign and another payload, +-inf, subnormals,
+# the smallest normal and the largest finite value, each with both signs
+_SPECIALS = np.concatenate([
+    np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45, 1e-39, -1e-39], dtype=np.float32),
+    np.array([np.finfo(np.float32).tiny, -np.finfo(np.float32).tiny], dtype=np.float32),
+    np.array([np.finfo(np.float32).max, -np.finfo(np.float32).max], dtype=np.float32),
+    _f32_bits(0x7FC00000, 0xFFC00000, 0x7FC00001, 0xFFC0BEEF),
+])
+
+
+def _with_specials(rng, shape):
+    """Standard normals with every special float32 value planted at random cells."""
+    a = rng.standard_normal(shape).astype(np.float32)
+    flat = a.reshape(-1)
+    cells = rng.choice(flat.size, size=min(flat.size, 3 * _SPECIALS.size), replace=False)
+    flat[cells] = np.resize(_SPECIALS, cells.size)
+    return a
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_relu_is_byte_identical_to_where(seed):
+    rng = np.random.default_rng(700 + seed)
+    shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(4, 13)), int(rng.integers(4, 13)))
+    x = _with_specials(rng, shape)
+    g = _with_specials(rng, shape)
+    g[(x > 0) & (rng.random(shape) < 0.2)] = -0.0  # where the mask keeps g
+    with T.Tape() as tape:
+        out = T.relu(T.Tensor(x, requires_grad=True))
+    (dx,) = tape._entries[-1].backward_fn(g)
+    want_out, want_dx = relu_where_ref(x, g)
+    assert out.data.tobytes() == want_out.tobytes()
+    assert dx.shape == want_dx.shape and dx.tobytes() == want_dx.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS[:10])
+def test_max_pool2d_backward_is_byte_identical_to_where_select(seed):
+    rng = np.random.default_rng(800 + seed)
+    n, c = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    h, w = 2 * int(rng.integers(2, 9)), 2 * int(rng.integers(2, 9))
+    x = _with_specials(rng, (n, c, h, w))
+    x[rng.random(x.shape) < 0.3] = 0.0  # ties among relu zeros
+    g = _with_specials(rng, (n, c, h // 2, w // 2))
+    g[rng.random(g.shape) < 0.2] = -0.0
+    _, dx = _pool_with_grad(x, g)
+    want = max_pool2d_where_grad_ref(x, g)
+    assert dx.shape == want.shape and dx.tobytes() == want.tobytes()
+
+
+_NETS = {
+    "unet": (build_unet, unet_forward),
+    "rpn": (build_rpn, rpn_forward),
+    "age": (build_age_model, age_forward),
+}
+
+
+def _fused_conv_layers(monkeypatch, net):
+    """(x shape without N, kernel shape, padding) of every conv the net's
+    default geometry runs with relu=True, recorded from one forward pass."""
+    build, forward = _NETS[net]
+    model = build()
+    layers = []
+    conv2d = T.conv2d
+
+    def spy(x, kernel, bias, stride=1, padding=0, relu=False):
+        if relu:
+            assert stride == 1
+            layers.append((x.shape[1:], kernel.shape, padding))
+        return conv2d(x, kernel, bias, stride=stride, padding=padding, relu=relu)
+
+    monkeypatch.setattr(T, "conv2d", spy)
+    forward(model, T.Tensor(np.zeros((1, 1, model.config.height, model.config.width), dtype=np.float32)))
+    monkeypatch.undo()
+    return layers
+
+
+def _conv_grads(x, kern, b, g, padding, fused):
+    """Forward output and (dx, dw, db) of conv+relu as one op or as two."""
+    xt = T.Tensor(x, requires_grad=True)
+    kt, bt = T.Tensor(kern, requires_grad=True), T.Tensor(b, requires_grad=True)
+    with T.Tape() as tape:
+        if fused:
+            out = T.conv2d(xt, kt, bt, padding=padding, relu=True)
+        else:
+            out = T.relu(T.conv2d(xt, kt, bt, padding=padding))
+    assert len(tape) == (1 if fused else 2)
+    for entry in reversed(tape._entries):
+        grads = entry.backward_fn(g)
+        g = np.asarray(grads[0], dtype=np.float32).copy()  # as Tape.backward hands it on
+    return out.data, grads
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("net", sorted(_NETS))
+def test_conv2d_relu_is_byte_identical_to_relu_of_conv2d(monkeypatch, net, n):
+    layers = _fused_conv_layers(monkeypatch, net)
+    assert len(layers) >= 6
+    rng = np.random.default_rng(900 + n)
+    for (c, h, w), kshape, padding in layers:
+        x = np.maximum(rng.standard_normal((n, c, h, w)), 0.0).astype(np.float32)
+        x[:, :, : h // 2, : w // 2] = 0.0  # there the pre-activation is the bias
+        kern = rng.standard_normal(kshape).astype(np.float32)
+        b = rng.standard_normal(kshape[0]).astype(np.float32)
+        b[0] = 0.0  # so some pre-activations are exactly zero
+        g = rng.standard_normal((n, kshape[0], h, w)).astype(np.float32)
+        g[rng.random(g.shape) < 0.2] = -0.0
+        got_out, got = _conv_grads(x, kern, b, g, padding, fused=True)
+        want_out, want = _conv_grads(x, kern, b, g, padding, fused=False)
+        assert got_out.tobytes() == want_out.tobytes(), (c, h, w, kshape)
+        for got_g, want_g in zip(got, want):
+            assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes(), (c, h, w, kshape)
+
+
+def test_conv_block_records_one_tape_entry_per_conv():
+    params = {}
+    nn.init_conv_block(params, np.random.default_rng(0), "b", 1, 4)
+    with T.Tape() as tape:
+        nn.conv_block(T.Tensor(np.ones((1, 1, 6, 6), dtype=np.float32)), params, "b")
+    assert len(tape) == 2
 
 
 def test_conv2d_input_without_grad_gets_none_and_the_same_parameter_grads():
@@ -346,6 +495,88 @@ def test_gradients_accumulate_across_shared_consumers():
         tape.backward(l)
     # each mse contributes 2*x, so the sum is 4*x
     np.testing.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-6)
+
+
+def _tiny_block(seed):
+    params = {}
+    nn.init_conv_block(params, np.random.default_rng(seed), "b", 1, 2)
+    return params
+
+
+def _taped_step(params, x):
+    """One forward and backward of a conv block under a fresh tape: the tape."""
+    with T.Tape() as tape:
+        out = nn.conv_block(T.Tensor(x), params, "b")
+        tape.backward(T.loss(out, T.Tensor(np.zeros(out.shape, dtype=np.float32)), "mse"))
+    return tape
+
+
+def _run_threads(targets, timeout=60):
+    threads = [threading.Thread(target=t) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=timeout)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_a_tape_records_only_its_own_threads_ops():
+    # a loaded model's parameters require grad, so a forward pass on another
+    # thread would land on this tape if the tape stack were process-wide
+    params = _tiny_block(0)
+    x = np.ones((1, 1, 6, 6), dtype=np.float32)
+    opened, inferred = threading.Event(), threading.Event()
+    seen = {}
+
+    def train():
+        with T.Tape() as tape:
+            opened.set()
+            seen["waited"] = inferred.wait(timeout=30)
+            out = nn.conv_block(T.Tensor(x), params, "b")
+            tape.backward(T.loss(out, T.Tensor(np.zeros(out.shape, dtype=np.float32)), "mse"))
+        seen["tape"] = tape
+
+    def infer():
+        seen["opened"] = opened.wait(timeout=30)
+        seen["other"] = nn.conv_block(T.Tensor(x), params, "b")
+        inferred.set()
+
+    _run_threads([train, infer])
+    assert seen["opened"] and seen["waited"]
+    assert len(seen["tape"]) == 3  # two fused convs and the loss
+    assert not seen["other"].requires_grad
+    assert T.Tape.current() is None
+
+
+def test_concurrent_tapes_stay_separate_under_fast_switching():
+    x = np.ones((2, 1, 8, 8), dtype=np.float32)
+    shared = _tiny_block(1)
+    lengths, errors = [], []
+
+    def train(seed):
+        params = _tiny_block(seed)
+        try:
+            for _ in range(20):
+                lengths.append(len(_taped_step(params, x)))
+        except Exception as exc:  # reported below, with the thread's own error
+            errors.append(exc)
+
+    def infer():
+        try:
+            for _ in range(20):
+                if nn.conv_block(T.Tensor(x), shared, "b").requires_grad:
+                    errors.append(AssertionError("untaped forward was recorded"))
+        except Exception as exc:
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads([lambda s=s: train(s) for s in range(2, 6)] + [infer, infer])
+    finally:
+        sys.setswitchinterval(old)
+    assert errors == []
+    assert lengths == [3] * 80
 
 
 def test_concat_of_tensor_with_itself_accumulates_both_halves():
