@@ -221,11 +221,19 @@ def _blend(px, y0, y1, fy, x0, x1, fx) -> np.ndarray:
     return top
 
 
+def _unique_taps(taps: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(taps, return_inverse=True)`` for indices into
+    ``range(extent)``, by a presence mask instead of a sort."""
+    seen = np.zeros(extent, dtype=bool)
+    seen[taps] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[taps]
+
+
 def _region(img: GrayImage, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``img.pixels[np.ix_(rows, cols)]``, evaluating only those pixels.
 
     A resampled image fetches from its source the sub-grid of the rows
-    and columns its taps read (``np.unique``), and blends it with the
+    and columns its taps read (``_unique_taps``), and blends it with the
     taps renumbered into that sub-grid.
     """
     if img._pixels is not None:
@@ -237,8 +245,8 @@ def _region(img: GrayImage, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         return _region(source, ytaps[0][rows], xtaps[0][cols])
     y0, y1, fy = (t[rows] for t in ytaps)
     x0, x1, fx = (t[cols] for t in xtaps)
-    src_rows, yi = np.unique(np.concatenate([y0, y1]), return_inverse=True)
-    src_cols, xi = np.unique(np.concatenate([x0, x1]), return_inverse=True)
+    src_rows, yi = _unique_taps(np.concatenate([y0, y1]), source.height)
+    src_cols, xi = _unique_taps(np.concatenate([x0, x1]), source.width)
     n, m = len(rows), len(cols)
     sub = _region(source, src_rows, src_cols)
     return _blend(sub, yi[:n], yi[n:], fy, xi[:m], xi[m:], fx)

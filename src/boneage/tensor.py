@@ -144,7 +144,8 @@ class Tape:
         self._entries.append(_TapeEntry(out, inputs, backward_fn))
 
     def backward(self, root: Tensor) -> None:
-        """Propagate d(root)/d(x) into ``x.grad`` for every requires_grad tensor."""
+        """Propagate d(root)/d(x) into ``x.grad`` for every leaf x that
+        requires grad; intermediate outputs get no ``.grad``."""
         if root.size != 1:
             raise ContractError(f"backward root must be scalar, got shape {root.shape}")
         on_tape = any(entry.out is root for entry in self._entries)
@@ -161,8 +162,6 @@ class Tape:
             g_out = pending.pop(id(entry.out), None)
             if g_out is None:
                 continue
-            if entry.out.requires_grad:
-                entry.out.accumulate_grad(g_out)
             in_grads = entry.backward_fn(g_out)
             for inp, g_in in zip(entry.inputs, in_grads):
                 if g_in is None or not inp.requires_grad:
@@ -226,6 +225,25 @@ def _im2col_view(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return view
 
 
+def _window_rows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The (N*Ho*Wo, kh*kw*C) window rows of a C-contiguous padded input,
+    copied from a channels-last copy of it, so each copied run is kw*C
+    contiguous floats. A 1x1 kernel's windows are xp's pixels, read in
+    place: at N = 1 they stay the F-ordered operand (no copy) BLAS got
+    before, whose sums a C-ordered copy would round differently. The
+    channels-last copy lives only inside this call."""
+    n, c, h, w = xp.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    xl, buf = xp.transpose(0, 2, 3, 1), xp
+    if kh * kw > 1:
+        xl = buf = np.ascontiguousarray(xl)
+    s0, s1, s2, s3 = xl.strides
+    strides = (s0, s1 * stride, s2 * stride, s1, s2, s3)
+    rows = np.ndarray((n, ho, wo, kh, kw, c), xp.dtype, buf, 0, strides)
+    return rows.reshape(n * ho * wo, kh * kw * c)
+
+
 def conv2d(
     x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0, relu: bool = False
 ) -> Tensor:
@@ -242,7 +260,9 @@ def conv2d(
     Lowered to GEMMs (im2col): the forward multiplies the (F, C*kh*kw)
     kernel matrix by the (C*kh*kw, N*Ho*Wo) column matrix of the padded
     input's windows, which is not kept for the backward pass. Backward
-    takes dW against the windows in (N*Ho*Wo, C*kh*kw) layout and the
+    takes dW against the windows as (N*Ho*Wo, kh*kw*C) rows of a
+    channels-last copy of the input (the GEMM's K order is unchanged,
+    only its output columns are permuted back to C, kh, kw), and the
     column gradients as kernel.T @ g through a BLAS transpose flag,
     scatters those back channel-major, and skips dx (None) for an input
     that does not require grad.
@@ -286,11 +306,8 @@ def conv2d(
             g = _keep(out > 0, g)
         db = g.sum(axis=(0, 2, 3))
         g2 = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        # dW keeps its (N*Ho*Wo, C*kh*kw) copy, freed right after the GEMM:
-        # with cols.T as a transposed operand BLAS sums some shapes
-        # (C*kh*kw = 9, F = 1) in another order, and the trained weights drift
-        dw = np.dot(g2, view.transpose(0, 4, 5, 1, 2, 3).reshape(n * ho * wo, c * kh * kw))
-        dw = dw.reshape(kernel.shape)
+        dw = np.dot(g2, _window_rows(xp, kh, kw, stride))
+        dw = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         if not x.requires_grad:
             return None, dw, db
         dcols = (k2.T @ g2).reshape(c, kh, kw, n, ho, wo)

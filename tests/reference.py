@@ -117,6 +117,37 @@ def conv2d_tensordot_grads_ref(x, w, g, stride=1, padding=0):
     return dxp[:, :, padding : padding + h, padding : padding + wid], dw, db
 
 
+def conv2d_channels_last_dw_ref(x, w, g, stride=1, padding=0):
+    """conv2d's dW as one float32 GEMM over channels-last window rows.
+
+    The byte-exact oracle for dW: g as (F, N*Ho*Wo) times the windows as
+    (N*Ho*Wo, kh*kw*C) rows of an NHWC copy of the padded input, with the
+    product's columns put back in (C, kh, kw) order. A 1x1 kernel's rows
+    are the NCHW input's pixels read in place, an F-ordered operand at
+    N = 1, so BLAS gets the same call as from the package. Where the
+    column order is (C, kh, kw) already (kh = kw = 1 or C = 1) this is
+    ``conv2d_tensordot_grads_ref``'s dW.
+    """
+    f, c, kh, kw = np.shape(w)
+    g = np.asarray(g, dtype=np.float32)
+    ho, wo = g.shape[2], g.shape[3]
+    xp = np.pad(np.asarray(x, dtype=np.float32), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    if kh == kw == 1:
+        windows = xp.transpose(0, 2, 3, 1)[:, ::stride, ::stride, None, None, :]
+    else:
+        xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
+        s0, s1, s2, s3 = xl.strides
+        windows = np.lib.stride_tricks.as_strided(
+            xl,
+            shape=(xl.shape[0], ho, wo, kh, kw, c),
+            strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
+            writeable=False,
+        )
+    rows = windows.reshape(-1, kh * kw * c)
+    dw = np.dot(g.transpose(1, 0, 2, 3).reshape(f, -1), rows)
+    return dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+
+
 def max_pool2d_argmax_ref(x, g):
     """2x2/2 max-pool by argmax over each window, float32: (out, dx).
 

@@ -6,6 +6,7 @@ import pytest
 from boneage.errors import ContractError, ImageIOError
 from boneage.imaging import (
     GrayImage,
+    _unique_taps,
     crop,
     flip_horizontal,
     load_image,
@@ -349,6 +350,20 @@ def test_lazy_chain_is_byte_identical_to_the_eager_chain(seed):
         assert (lazy.height, lazy.width) == px.shape
     assert lazy.pixels.dtype == np.float32
     assert lazy.pixels.tobytes() == np.ascontiguousarray(px).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unique_taps_is_np_unique_with_inverse(seed):
+    rng = np.random.default_rng(900 + seed)
+    extent = int(rng.integers(1, 40))
+    taps = rng.integers(0, extent, size=int(rng.integers(1, 60)))
+    taps[: min(4, taps.size)] = [0, extent - 1, 0, extent - 1][: min(4, taps.size)]
+    rng.shuffle(taps)
+    got_values, got_inverse = _unique_taps(taps, extent)
+    want_values, want_inverse = np.unique(taps, return_inverse=True)
+    assert got_values.tolist() == want_values.tolist()
+    assert got_inverse.tolist() == want_inverse.tolist()
+    assert got_values[got_inverse].tolist() == taps.tolist()
 
 
 def test_lazy_image_evaluates_once_and_leaves_its_source_alone():

@@ -17,6 +17,7 @@ from boneage.segmentation import UNetConfig, build_unet, unet_forward
 from reference import (
     bce_ref,
     concat_channels_ref,
+    conv2d_channels_last_dw_ref,
     conv2d_ref,
     conv2d_tensordot_grads_ref,
     conv2d_tensordot_ref,
@@ -149,12 +150,14 @@ def test_activation_forward(seed):
 # ---------------------------------------------------------------------------
 
 # (N, C, H, W, F, k, stride, padding): 1x1 convs at N=1 and C=1, the
-# first layer of every net (C=1), the U-Net head and its largest layer
+# first layer of every net (C=1), the U-Net head at N=1 and 4 and its
+# largest layer
 CONV_SHAPES = [
     (1, 1, 5, 7, 1, 1, 1, 0),
     (1, 1, 6, 4, 3, 1, 1, 0),
     (1, 3, 4, 4, 1, 1, 1, 0),
     (4, 1, 64, 96, 8, 3, 1, 1),
+    (1, 8, 64, 96, 1, 1, 1, 0),
     (4, 8, 64, 96, 1, 1, 1, 0),
     (4, 24, 64, 96, 8, 3, 1, 1),
     (2, 5, 9, 11, 4, 3, 2, 1),
@@ -171,8 +174,12 @@ def _random_conv_shape(seed):
     )
 
 
-@pytest.mark.parametrize("shape", CONV_SHAPES + [_random_conv_shape(s) for s in SEEDS])
-def test_conv2d_is_byte_identical_to_tensordot(shape):
+ALL_CONV_SHAPES = CONV_SHAPES + [_random_conv_shape(s) for s in SEEDS]
+
+
+def _conv_case(shape):
+    """Seeded (x, kernel, bias, upstream g) for one conv shape, and the
+    package's (out, (dx, dw, db))."""
     n, c, h, w, f, k, stride, padding = shape
     rng = np.random.default_rng(sum(shape))
     x = np.maximum(rng.standard_normal((n, c, h, w)), 0.0).astype(np.float32)
@@ -180,14 +187,38 @@ def test_conv2d_is_byte_identical_to_tensordot(shape):
     b = rng.standard_normal(f).astype(np.float32)
     xt = T.Tensor(x, requires_grad=True)
     with T.Tape() as tape:
-        got = T.conv2d(xt, T.Tensor(kern), T.Tensor(b), stride=stride, padding=padding)
+        out = T.conv2d(xt, T.Tensor(kern), T.Tensor(b), stride=stride, padding=padding)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    return x, kern, b, g, out.data, tape._entries[-1].backward_fn(g)
+
+
+@pytest.mark.parametrize("shape", ALL_CONV_SHAPES)
+def test_conv2d_is_byte_identical_to_tensordot(shape):
+    stride, padding = shape[6:]
+    x, kern, b, g, out, (dx, dw, db) = _conv_case(shape)
     want = conv2d_tensordot_ref(x, kern, b, stride=stride, padding=padding)
-    assert got.data.shape == want.shape
-    assert got.data.tobytes() == want.tobytes()
-    g = rng.standard_normal(want.shape).astype(np.float32)
-    grads = tape._entries[-1].backward_fn(g)
-    for got_g, want_g in zip(grads, conv2d_tensordot_grads_ref(x, kern, g, stride, padding)):
+    assert out.shape == want.shape
+    assert out.tobytes() == want.tobytes()
+    want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, stride, padding)
+    want_dw = conv2d_channels_last_dw_ref(x, kern, g, stride, padding)
+    for got_g, want_g in ((dx, want_dx), (dw, want_dw), (db, want_db)):
         assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes()
+
+
+# dW's channels-last columns come in (C, kh, kw) order already: the
+# 1x1 and single-channel shapes above, and the nets' first layers and
+# U-Net head at N = 1, 2, 3, 4, 8 and 16
+_IDENTITY_ORDER_SHAPES = [s for s in ALL_CONV_SHAPES if s[5] == 1 or s[1] == 1] + [
+    (n,) + layer for n in (1, 2, 3, 4, 8, 16)
+    for layer in ((1, 64, 96, 8, 3, 1, 1), (1, 128, 96, 8, 3, 1, 1), (1, 64, 64, 8, 3, 1, 1), (8, 64, 96, 1, 1, 1, 0))
+]
+
+
+@pytest.mark.parametrize("shape", _IDENTITY_ORDER_SHAPES)
+def test_conv2d_dw_is_byte_identical_to_tensordot_where_column_order_is_kept(shape):
+    x, kern, _, g, _, (_, dw, _) = _conv_case(shape)
+    _, want_dw, _ = conv2d_tensordot_grads_ref(x, kern, g, *shape[6:])
+    assert dw.shape == want_dw.shape and dw.tobytes() == want_dw.tobytes()
 
 
 def test_conv2d_windows_non_contiguous_and_read_only_inputs():
@@ -495,6 +526,37 @@ def test_gradients_accumulate_across_shared_consumers():
         tape.backward(l)
     # each mse contributes 2*x, so the sum is 4*x
     np.testing.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-6)
+
+
+def _reverse_sweep(tape, root):
+    """Every tensor's gradient by one plain reverse pass over the tape."""
+    grads = {id(root): np.ones(root.shape, dtype=np.float32)}
+    for entry in reversed(tape._entries):
+        g_out = grads.get(id(entry.out))
+        if g_out is None:
+            continue
+        for inp, g_in in zip(entry.inputs, entry.backward_fn(g_out)):
+            if g_in is not None and inp.requires_grad:
+                g_in = np.asarray(g_in, dtype=np.float32)
+                key = id(inp)
+                grads[key] = grads[key] + g_in if key in grads else g_in.copy()
+    return grads
+
+
+def test_backward_fills_leaf_grads_only():
+    # a tiny U-Net: its skip tensors feed both a pool and a concatenation
+    model = build_unet(UNetConfig(depth=2, base_channels=4, input_size=(32, 32)), seed=3)
+    rng = np.random.default_rng(5)
+    x = T.Tensor(rng.random((2, 1, 32, 32), dtype=np.float32))
+    target = T.Tensor((rng.random((2, 1, 32, 32)) > 0.5).astype(np.float32))
+    with T.Tape() as tape:
+        root = T.loss(unet_forward(model, x), target, "dice")
+        tape.backward(root)
+    want = _reverse_sweep(tape, root)
+    outputs = [entry.out for entry in tape._entries]
+    assert len(outputs) > 10 and all(t.requires_grad and t.grad is None for t in outputs)
+    for name, p in model.params.items():
+        assert p.grad.tobytes() == want[id(p)].tobytes(), name
 
 
 def _tiny_block(seed):
