@@ -22,6 +22,15 @@ while every other value, infinities and subnormals included, passes
 unchanged. Its backward, and max_pool2d's, select with ``_keep``, which
 ANDs g's bits with the sign-extended mask (all ones where true): that is
 ``where(mask, g, +0.0)`` exactly, -0.0 and NaN payloads in g included.
+
+conv2d is lowered to GEMMs (im2col) at the padded input's row pitch Wp:
+output (i, j) of image n is GEMM column n*span + i*Wp + j, with
+span = (Ho-1)*Wp + Wo, so each tap's row of the column matrix, and each
+tap's add into dx, is one run of span cells per (c, n). Columns j >= Wo
+are junk: the forward drops them, and dx builds them from zeroed g
+columns, so with a finite kernel each is a signed zero. dx's accumulator
+starts at +0.0, and a round-to-nearest sum is -0.0 only when both addends
+are, so it never holds -0.0 and adding +-0.0 to it changes no bit.
 """
 
 from __future__ import annotations
@@ -211,20 +220,6 @@ def _relu(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 # convolution and friends
 # ---------------------------------------------------------------------------
 
-def _im2col_view(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Read-only strided (N, C, kh, kw, Ho, Wo) window view of a C-contiguous
-    padded input, made by the ndarray constructor (as_strided's Python
-    wrapper costs several times more per call)."""
-    n, c, h, w = xp.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    s0, s1, s2, s3 = xp.strides
-    strides = (s0, s1, s2, s3, s2 * stride, s3 * stride)
-    view = np.ndarray((n, c, kh, kw, ho, wo), xp.dtype, xp, 0, strides)
-    view.flags.writeable = False
-    return view
-
-
 def _window_rows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """The (N*Ho*Wo, kh*kw*C) window rows of a C-contiguous padded input,
     copied from a channels-last copy of it, so each copied run is kw*C
@@ -244,6 +239,15 @@ def _window_rows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return rows.reshape(n * ho * wo, kh * kw * c)
 
 
+def _pitched(wide: np.ndarray, n: int, ho: int, wo: int, wp: int) -> np.ndarray:
+    """The (X, N, Ho, Wo) valid cells of an (X, N*span) matrix whose
+    columns run at row pitch wp, span = (Ho-1)*wp + Wo: a view that skips
+    the junk columns j >= Wo of each row."""
+    span = (ho - 1) * wp + wo
+    s = wide.itemsize
+    return np.ndarray((wide.shape[0], n, ho, wo), wide.dtype, wide, 0, (wide.strides[0], span * s, wp * s, s))
+
+
 def conv2d(
     x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0, relu: bool = False
 ) -> Tensor:
@@ -257,15 +261,12 @@ def conv2d(
     exactly where the pre-activation is > 0, and it is read from the
     returned array, which is why no op may write into its inputs.
 
-    Lowered to GEMMs (im2col): the forward multiplies the (F, C*kh*kw)
-    kernel matrix by the (C*kh*kw, N*Ho*Wo) column matrix of the padded
-    input's windows, which is not kept for the backward pass. Backward
-    takes dW against the windows as (N*Ho*Wo, kh*kw*C) rows of a
-    channels-last copy of the input (the GEMM's K order is unchanged,
-    only its output columns are permuted back to C, kh, kw), and the
-    column gradients as kernel.T @ g through a BLAS transpose flag,
-    scatters those back channel-major, and skips dx (None) for an input
-    that does not require grad.
+    Lowered to GEMMs at the padded row pitch (see the module notes): the
+    forward multiplies the (F, C*kh*kw) kernel matrix by the
+    (C*kh*kw, N*span) column matrix and copies out the valid columns.
+    Backward takes dW against (N*Ho*Wo, kh*kw*C) channels-last window rows,
+    permuting its output columns back to (C, kh, kw), and dx from
+    kernel.T @ g, which it skips (None) for an input that needs no grad.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -290,13 +291,18 @@ def conv2d(
         xp[:, :, padding : padding + h, padding : padding + w] = x.data
     else:
         xp = np.ascontiguousarray(x.data)
-    view = _im2col_view(xp, kh, kw, stride)
-    ho, wo = view.shape[4], view.shape[5]
+    hp, wp = xp.shape[2:]
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    span = (ho - 1) * wp + wo
+    # column (c, p, q) of image n is xp[n, c] from flat cell p*wp + q on,
+    # every stride-th of span cells: one run, never past xp's end
+    s0, s1, s2, s3 = xp.strides
+    taps = np.ndarray((c, kh, kw, n, span), xp.dtype, xp, 0, (s1, s2, s3, s0, s3 * stride))
     k2 = kernel.data.reshape(f, c * kh * kw)
-    cols = view.transpose(1, 2, 3, 0, 4, 5).reshape(c * kh * kw, n * ho * wo)
-    # out[n,f,i,j] = sum_{c,p,q} kernel[f,c,p,q] * view[n,c,p,q,i,j]
-    out = np.dot(k2, cols).reshape(f, n, ho, wo)
-    out = np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    # wide[f, n*span + i*wp + j] = sum_{c,p,q} kernel[f,c,p,q] * xp[n, c, i*stride+p, j*stride+q]
+    wide = np.dot(k2, taps.reshape(c * kh * kw, n * span))
+    out = np.ascontiguousarray(_pitched(wide, n, ho, wo, wp).transpose(1, 0, 2, 3))
     out += bias.data.reshape(1, f, 1, 1)
     if relu:
         _relu(out, out=out)
@@ -305,18 +311,23 @@ def conv2d(
         if relu:
             g = _keep(out > 0, g)
         db = g.sum(axis=(0, 2, 3))
-        g2 = g.transpose(1, 0, 2, 3).reshape(f, n * ho * wo)
-        dw = np.dot(g2, _window_rows(xp, kh, kw, stride))
+        g = g.transpose(1, 0, 2, 3)
+        dw = np.dot(g.reshape(f, n * ho * wo), _window_rows(xp, kh, kw, stride))
         dw = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
         if not x.requires_grad:
             return None, dw, db
-        dcols = (k2.T @ g2).reshape(c, kh, kw, n, ho, wo)
-        # scatter column gradients back into the (padded) input, channel-major
-        dxp = np.zeros((c, n) + xp.shape[2:], dtype=np.float32)
+        # g in zeroed columns at pitch wp: dcols' junk columns are signed zeros
+        gp = np.zeros((f, n * span), dtype=np.float32)
+        _pitched(gp, n, ho, wo, wp)[...] = g
+        dcols = (k2.T @ gp).reshape(c, kh, kw, n, span)
+        del gp
+        dxp = np.zeros((c, n, hp * wp), dtype=np.float32)
         for p in range(kh):
             for q in range(kw):
-                dxp[:, :, p : p + ho * stride : stride, q : q + wo * stride : stride] += dcols[:, p, q]
-        dx = dxp.transpose(1, 0, 2, 3)
+                o = p * wp + q
+                dxp[:, :, o : o + stride * (span - 1) + 1 : stride] += dcols[:, p, q]
+        del dcols
+        dx = dxp.reshape(c, n, hp, wp).transpose(1, 0, 2, 3)
         if padding:
             dx = dx[:, :, padding : padding + h, padding : padding + w]
         return dx, dw, db

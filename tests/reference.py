@@ -148,6 +148,37 @@ def conv2d_channels_last_dw_ref(x, w, g, stride=1, padding=0):
     return dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
 
 
+def conv2d_padded_width_ref(x, w, b, stride=1, padding=0):
+    """conv2d's forward as one float32 GEMM at the padded input's row pitch.
+
+    The byte-exact oracle for the forward where the GEMM's columns are not
+    laid out as in ``conv2d_tensordot_ref``: output (i, j) of image n is
+    column n*span + i*Wp + j of kernel (F, C*kh*kw) times the
+    (C*kh*kw, N*span) matrix whose row (c, p, q) reads image n's channel c
+    from flat cell p*Wp + q on, every stride-th cell, span = (Ho-1)*Wp + Wo
+    cells. The columns j >= Wo are computed and dropped, so BLAS gets the
+    same call as from the package.
+    """
+    w = np.asarray(w, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
+    f, c, kh, kw = w.shape
+    xp = np.pad(np.asarray(x, dtype=np.float32), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, _, hp, wp = xp.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    span = (ho - 1) * wp + wo
+    flat = xp.reshape(n, c, hp * wp)
+    rows = np.empty((c, kh, kw, n, span), dtype=np.float32)
+    for p in range(kh):
+        for q in range(kw):
+            start = p * wp + q
+            rows[:, p, q] = flat[:, :, start : start + stride * (span - 1) + 1 : stride].transpose(1, 0, 2)
+    wide = np.dot(w.reshape(f, -1), rows.reshape(c * kh * kw, n * span)).reshape(f, n, span)
+    cells = (np.arange(ho)[:, None] * wp + np.arange(wo)).reshape(-1)
+    out = wide[:, :, cells].reshape(f, n, ho, wo).transpose(1, 0, 2, 3)
+    return np.ascontiguousarray(out) + b.reshape(1, -1, 1, 1)
+
+
 def max_pool2d_argmax_ref(x, g):
     """2x2/2 max-pool by argmax over each window, float32: (out, dx).
 
