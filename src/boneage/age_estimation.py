@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,9 +141,10 @@ class AgeConfig(nn.InputPlane):
         nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
 
 
-def build_age_model(config: AgeConfig = AgeConfig(), seed: int = 0) -> nn.Model:
-    """Initialize the age network's parameters."""
-    rng = np.random.default_rng(seed)
+def build_age_model(config: AgeConfig = AgeConfig(), seed: Optional[int] = 0) -> nn.Model:
+    """Initialize the age network's parameters; with ``seed``
+    None they are zeros for ``restore_params`` to fill."""
+    rng = nn.init_rng(seed)
     params: Dict[str, Tensor] = {}
     nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
     nn.init_dense(params, rng, "head_class", config.hidden, NUM_CLASSES)

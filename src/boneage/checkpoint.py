@@ -70,7 +70,7 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
     if sep < 0:
         raise CheckpointError(f"{path}: no manifest/blob separator found")
     manifest = raw[:sep].decode("ascii", errors="replace").splitlines()
-    blob = raw[sep + 2 :]
+    blob = memoryview(raw)[sep + 2 :]
     if not manifest or manifest[0].strip() != FORMAT_LINE:
         raise CheckpointError(f"{path}: missing '{FORMAT_LINE}' header line")
     out: Dict[str, np.ndarray] = {}
@@ -109,7 +109,9 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
 
 
 def restore_params(params: Dict[str, Tensor], loaded: Dict[str, np.ndarray], source: str = "checkpoint") -> None:
-    """Copy loaded arrays into an existing parameter dict, shape-checked."""
+    """Put loaded arrays into an existing parameter dict, name- and
+    shape-checked. The parameters take the arrays over without a copy,
+    so pass arrays nothing else holds, as ``load_checkpoint`` returns."""
     missing = sorted(set(params) - set(loaded))
     extra = sorted(set(loaded) - set(params))
     if missing or extra:
@@ -122,4 +124,4 @@ def restore_params(params: Dict[str, Tensor], loaded: Dict[str, np.ndarray], sou
             raise CheckpointError(
                 f"{source}: {name!r} has shape {arr.shape}, model expects {p.data.shape}"
             )
-        p.data = arr.astype(np.float32, copy=True)
+        p.data = arr.astype(np.float32, copy=False)

@@ -2,8 +2,9 @@
 
 A model is an ``nn.Model``: its config (the network's geometry) plus a
 dict of named parameter Tensors; each network module supplies the
-forward function. These helpers cover He-uniform initialization, the
-conv+relu blocks everything is assembled from, the VGG-style trunk the
+forward function. These helpers cover He-uniform initialization (or,
+with no seed, zero placeholders for a checkpoint to fill), the conv+relu
+blocks everything is assembled from, the VGG-style trunk the
 localizer and the age net share, and the one training loop.
 
 The trunk is ``block{i}`` double-conv blocks, each followed by a 2x2
@@ -37,14 +38,24 @@ class Model:
     params: Dict[str, Tensor]
 
 
-def he_uniform(rng: np.random.Generator, shape: Sequence[int], fan_in: int) -> np.ndarray:
+def init_rng(seed: Optional[int]) -> Optional[np.random.Generator]:
+    """The generator a seeded build draws from. With no seed, builds make
+    zero placeholders and never import ``numpy.random``: a model restored
+    from its checkpoint does not pay for draws it overwrites."""
+    return None if seed is None else np.random.default_rng(seed)
+
+
+def he_uniform(rng: Optional[np.random.Generator], shape: Sequence[int], fan_in: int) -> np.ndarray:
+    if rng is None:
+        # a read-only zero view that holds no memory; restore_params replaces it
+        return np.broadcast_to(np.float32(0), tuple(shape))
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, size=tuple(shape)).astype(np.float32)
 
 
 def init_conv(
     params: Dict[str, Tensor],
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     name: str,
     out_ch: int,
     in_ch: int,
@@ -58,7 +69,7 @@ def init_conv(
 
 def init_dense(
     params: Dict[str, Tensor],
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     name: str,
     in_dim: int,
     out_dim: int,
@@ -79,7 +90,7 @@ def conv_block(x: Tensor, params: Dict[str, Tensor], name: str) -> Tensor:
 
 def init_conv_block(
     params: Dict[str, Tensor],
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     name: str,
     in_ch: int,
     out_ch: int,
@@ -133,7 +144,7 @@ def check_input(x: Tensor, width: int, height: int) -> None:
 
 def init_vgg_trunk(
     params: Dict[str, Tensor],
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
     channels: Tuple[int, ...],
     input_size: Tuple[int, int],
     hidden: int,

@@ -217,10 +217,11 @@ def _checkpoint_path(config: PipelineConfig, stage: str) -> Path:
 
 def load_model(config: PipelineConfig, stage: str):
     """Build one stage's network from config geometry and restore its
-    checkpoint; any error names the stage."""
+    checkpoint; any error names the stage. The build draws nothing (zero
+    placeholders), and the model takes over the arrays the load made."""
     path = _checkpoint_path(config, stage)
     build, geometry = STAGES[stage][:2]
-    model = build(getattr(config, geometry), seed=config.seed)
+    model = build(getattr(config, geometry), seed=None)
     with _stage(stage):
         restore_params(model.params, load_checkpoint(path), str(path))
     return model

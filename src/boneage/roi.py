@@ -146,9 +146,10 @@ class RpnConfig(nn.InputPlane):
         nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
 
 
-def build_rpn(config: RpnConfig = RpnConfig(), seed: int = 0) -> nn.Model:
-    """Initialize the localization network's parameters."""
-    rng = np.random.default_rng(seed)
+def build_rpn(config: RpnConfig = RpnConfig(), seed: Optional[int] = 0) -> nn.Model:
+    """Initialize the localization network's parameters; with ``seed``
+    None they are zeros for ``restore_params`` to fill."""
+    rng = nn.init_rng(seed)
     params: Dict[str, Tensor] = {}
     nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
     nn.init_dense(params, rng, "head_center", config.hidden, 2)

@@ -15,7 +15,7 @@ at 720x480.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,9 +49,10 @@ class UNetConfig(nn.InputPlane):
         return self.base_channels * 2 ** level
 
 
-def build_unet(config: UNetConfig = UNetConfig(), seed: int = 0) -> nn.Model:
-    """Initialize the segmentation network's parameters."""
-    rng = np.random.default_rng(seed)
+def build_unet(config: UNetConfig = UNetConfig(), seed: Optional[int] = 0) -> nn.Model:
+    """Initialize the segmentation network's parameters; with ``seed``
+    None they are zeros for ``restore_params`` to fill."""
+    rng = nn.init_rng(seed)
     params: Dict[str, Tensor] = {}
     in_ch = 1
     for level in range(config.depth):

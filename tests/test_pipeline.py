@@ -4,8 +4,12 @@ The end-to-end cases ride on the session-scoped trained stack, so they
 score real checkpoints without retraining per test.
 """
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from boneage.age_estimation import (
     train_age,
 )
 from boneage.checkpoint import save_checkpoint
+from boneage.config import load_config, rebase_out
 from boneage.errors import CheckpointError, ContractError, StartupError, TrainingError
 from boneage.imaging import load_image, save_image
 from boneage.optim import TrainSettings
@@ -32,6 +37,7 @@ from boneage.pipeline import (
     age_data_deployed,
     build_phantom_atlas,
     holdout_phantoms,
+    load_model,
     masked_bone_image,
     prepared_box,
     roi_data,
@@ -204,15 +210,49 @@ def test_load_prefixes_corrupt_checkpoint_errors(tmp_path):
         Pipeline.load(cfg)
 
 
-def test_load_rejects_checkpoint_from_a_different_geometry(tmp_path):
+@pytest.mark.parametrize(
+    "stage, changes, reason",
+    [
+        ("segmentation", {"depth": 2, "base_channels": 4, "input_size": (32, 32)},
+         "parameter names do not match model"),
+        ("localization", {"backbone_channels": (4, 8, 16)},
+         "'block0.conv1.w' has shape (4, 1, 3, 3), model expects (8, 1, 3, 3)"),
+        ("age", {"hidden": 32}, "'fc.w' has shape (2048, 32), model expects (2048, 64)"),
+    ],
+    ids=list(STAGES),
+)
+def test_load_rejects_checkpoint_from_a_different_geometry(tmp_path, stage, changes, reason):
+    """Every stage checks its checkpoint against the config's geometry,
+    and the stages before it load."""
     cfg = make_config(tmp_path)
-    other = build_unet(UNetConfig(depth=2, base_channels=4, input_size=(32, 32)), seed=0)
-    save_checkpoint(cfg.seg_checkpoint, other.params)
-    cfg.roi_checkpoint.write_bytes(b"")
-    cfg.age_checkpoint.write_bytes(b"")
-    cfg.atlas_manifest.write_text("")
-    with pytest.raises(CheckpointError, match="segmentation:"):
+    for name, (build, geometry, checkpoint, _) in STAGES.items():
+        net = getattr(cfg, geometry)
+        if name == stage:
+            net = replace(net, **changes)
+        save_checkpoint(getattr(cfg, checkpoint), build(net, seed=0).params)
+    save_atlas(ReferenceAtlas(), cfg.atlas_manifest)
+    with pytest.raises(CheckpointError, match=f"^{stage}: .*{re.escape(reason)}"):
         Pipeline.load(cfg)
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_restore_build_has_the_seeded_layout_and_loads_its_bytes(tmp_path, stage):
+    """A build with no seed is zero placeholders under the seeded build's
+    names, shapes and order, and ``load_model`` fills them with the
+    checkpoint's bytes."""
+    cfg = make_config(tmp_path)
+    build, geometry, checkpoint, _ = STAGES[stage]
+    seeded = build(getattr(cfg, geometry), seed=cfg.seed).params
+    placeholder = build(getattr(cfg, geometry), seed=None).params
+    assert [(k, p.shape) for k, p in placeholder.items()] == [(k, p.shape) for k, p in seeded.items()]
+    for p in placeholder.values():
+        assert p.requires_grad and p.data.dtype == np.float32 and not p.data.any()
+    save_checkpoint(getattr(cfg, checkpoint), seeded)
+    loaded = load_model(cfg, stage).params
+    assert list(loaded) == list(seeded)
+    for name, p in loaded.items():
+        assert p.data.dtype == np.float32 and p.data.flags.owndata and p.data.flags.writeable
+        assert p.data.tobytes() == seeded[name].data.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -322,6 +362,42 @@ def test_dumps_build_the_full_frames(tmp_path, monkeypatch):
     assert {k: (v.width, v.height) for k, v in sizes.items()} == {
         "mask": (96, 64), "bone": (720, 480), "prepared": (720, 960), "crop": (64, 64)
     }
+
+
+# A fresh interpreter that only loads checkpoints and predicts: what one
+# `boneage predict` process per image pays before its first pixel.
+_COLD_PREDICT = """
+import sys
+from pathlib import Path
+from boneage.config import load_config, rebase_out
+from boneage.pipeline import Pipeline
+cfg = load_config(None)
+rebase_out(cfg, Path(sys.argv[1]))
+print(Pipeline.load(cfg).predict_path(sys.argv[2]).format_line())
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_cold_load_draws_nothing_and_predicts_like_the_seeded_models(tmp_path):
+    pipe = _untrained_pipeline(tmp_path)
+    image = tmp_path / "case.pgm"
+    save_image(_sample(5).image, image)
+    cfg = load_config(None)
+    rebase_out(cfg, tmp_path / "out")
+    cfg.atlas_manifest.parent.mkdir(parents=True)
+    for model, (_, _, checkpoint, _) in zip(
+        (pipe.seg_model, pipe.roi_model, pipe.age_model), STAGES.values()
+    ):
+        save_checkpoint(getattr(cfg, checkpoint), model.params)
+    save_atlas(pipe.atlas, cfg.atlas_manifest)
+    src = str(Path(imaging.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", _COLD_PREDICT, str(cfg.out_dir), str(image)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [pipe.predict_path(image).format_line(), "False"]
 
 
 # ---------------------------------------------------------------------------
