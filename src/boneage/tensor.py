@@ -31,6 +31,15 @@ are junk: the forward drops them, and dx builds them from zeroed g
 columns, so with a finite kernel each is a signed zero. dx's accumulator
 starts at +0.0, and a round-to-nearest sum is -0.0 only when both addends
 are, so it never holds -0.0 and adding +-0.0 to it changes no bit.
+
+Where an image's span exceeds 512 columns, the forward copies and
+multiplies its columns in blocks of 512 from the image's first column
+on, the last block partial, so a call holds at most C*kh*kw x 512 floats
+of columns; spans of up to 512 keep one GEMM over the batch. A block is
+the same GEMM on fewer columns, every sum in the same K order; only the
+kernel BLAS picks for a block's edge could round differently. On
+OpenBLAS this keeps every pipeline conv's bytes at N = 1..16 with one
+and two threads; narrower blocks, and small spans split by image, do not.
 """
 
 from __future__ import annotations
@@ -239,6 +248,9 @@ def _window_rows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     return rows.reshape(n * ho * wo, kh * kw * c)
 
 
+_COL_BLOCK = 512  # the forward's column blocks; fixed (see the module notes)
+
+
 def _pitched(wide: np.ndarray, n: int, ho: int, wo: int, wp: int) -> np.ndarray:
     """The (X, N, Ho, Wo) valid cells of an (X, N*span) matrix whose
     columns run at row pitch wp, span = (Ho-1)*wp + Wo: a view that skips
@@ -263,7 +275,8 @@ def conv2d(
 
     Lowered to GEMMs at the padded row pitch (see the module notes): the
     forward multiplies the (F, C*kh*kw) kernel matrix by the
-    (C*kh*kw, N*span) column matrix and copies out the valid columns.
+    (C*kh*kw, N*span) column matrix, in 512-column blocks per image where
+    span > 512, and copies out the valid columns.
     Backward takes dW against (N*Ho*Wo, kh*kw*C) channels-last window rows,
     permuting its output columns back to (C, kh, kw), and dx from
     kernel.T @ g, which it skips (None) for an input that needs no grad.
@@ -301,7 +314,15 @@ def conv2d(
     taps = np.ndarray((c, kh, kw, n, span), xp.dtype, xp, 0, (s1, s2, s3, s0, s3 * stride))
     k2 = kernel.data.reshape(f, c * kh * kw)
     # wide[f, n*span + i*wp + j] = sum_{c,p,q} kernel[f,c,p,q] * xp[n, c, i*stride+p, j*stride+q]
-    wide = np.dot(k2, taps.reshape(c * kh * kw, n * span))
+    if span <= _COL_BLOCK:
+        wide = np.dot(k2, taps.reshape(c * kh * kw, n * span))
+    else:
+        wide = np.empty((f, n, span), dtype=np.float32)
+        for i in range(n):
+            for j in range(0, span, _COL_BLOCK):
+                block = taps[:, :, :, i, j : j + _COL_BLOCK]
+                wide[:, i, j : j + _COL_BLOCK] = np.dot(k2, block.reshape(c * kh * kw, -1))
+        wide = wide.reshape(f, n * span)
     out = np.ascontiguousarray(_pitched(wide, n, ho, wo, wp).transpose(1, 0, 2, 3))
     out += bias.data.reshape(1, f, 1, 1)
     if relu:

@@ -3,6 +3,7 @@ gradients against central finite differences of those oracles."""
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,21 +201,54 @@ def _conv_case(shape):
 _PITCH_ROUNDED_SHAPES = {(2, 5, 9, 11, 4, 3, 2, 1), (2, 5, 19, 16, 6, 3, 2, 1)}
 
 
-@pytest.mark.parametrize("shape", ALL_CONV_SHAPES)
-def test_conv2d_is_byte_identical_to_tensordot(shape):
+def _assert_conv_matches_oracles(shape):
+    """The forward against the one-GEMM padded-width oracle, dx and db
+    against the tensordot grads and dW against the channels-last rows, all
+    byte for byte; returns the case's x, kernel, bias and forward."""
     stride, padding = shape[6:]
     x, kern, b, g, out, (dx, dw, db) = _conv_case(shape)
     want = conv2d_padded_width_ref(x, kern, b, stride=stride, padding=padding)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
+    want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, stride, padding)
+    want_dw = conv2d_channels_last_dw_ref(x, kern, g, stride, padding)
+    for got_g, want_g in ((dx, want_dx), (dw, want_dw), (db, want_db)):
+        assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes()
+    return x, kern, b, out
+
+
+@pytest.mark.parametrize("shape", ALL_CONV_SHAPES)
+def test_conv2d_is_byte_identical_to_tensordot(shape):
+    stride, padding = shape[6:]
+    x, kern, b, out = _assert_conv_matches_oracles(shape)
     tensordot = conv2d_tensordot_ref(x, kern, b, stride=stride, padding=padding)
     if shape in _PITCH_ROUNDED_SHAPES:
         np.testing.assert_allclose(out, tensordot, rtol=0, atol=1e-5)
     else:
         assert out.tobytes() == tensordot.tobytes()
-    want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, stride, padding)
-    want_dw = conv2d_channels_last_dw_ref(x, kern, g, stride, padding)
-    for got_g, want_g in ((dx, want_dx), (dw, want_dw), (db, want_db)):
-        assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes()
+
+
+# off-pipeline shapes whose span (output columns per image at the padded
+# pitch) runs over two whole 512-column forward blocks and ends in a
+# partial one, at stride 1 and 2, padding 0 and 1, for one image and
+# three. On OpenBLAS the block edges decide how a partial block's last
+# columns round, and a span's remainder can round differently from the
+# one GEMM (on 139 of 840 off-pipeline shapes swept; on none of the
+# pipeline's): these extents keep the bytes with 1 and 2 threads, while
+# 500-column blocks change them on every shape, and blocks that run on
+# across images on both three-image shapes at padding 0.
+_BLOCKED_CONV_SHAPES = [
+    (n, 4, (hw[0] - 1) * stride + 1, (hw[1] - 1) * stride + 1, 8, 3, stride, padding)
+    for stride in (1, 2) for padding, hw in ((0, (41, 43)), (1, (37, 45))) for n in (1, 3)
+]
+
+
+@pytest.mark.parametrize("shape", _BLOCKED_CONV_SHAPES)
+def test_conv2d_column_blocks_are_byte_identical_to_one_gemm(shape):
+    _, _, h, w, _, k, stride, padding = shape
+    wp = w + 2 * padding
+    span = (h + 2 * padding - k) // stride * wp + (wp - k) // stride + 1
+    assert span > 2 * 512 and span % 512
+    _assert_conv_matches_oracles(shape)
 
 
 # dW's channels-last columns come in (C, kh, kw) order already: the
@@ -496,6 +530,28 @@ def test_pipeline_convs_are_byte_identical_to_the_oracles(monkeypatch, net, n):
         assert out.data.tobytes() == want_out.tobytes(), layer
         for got_g, want_g in zip(got, (want_dx, want_dw, want_db)):
             assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes(), layer
+
+
+# traced allocation peak of one default U-Net forward at N = 1. With the
+# forward's columns in 512-column blocks it reads 2.2 MB (numpy 2.4);
+# building dec0.conv1's whole 216 x 6,270 column matrix (5.4 MB) at once
+# read 7.2 MB. The bound leaves 1.8 MB of margin above the blocked peak
+# and fails the whole-matrix forward by 3.2 MB.
+_UNET_FORWARD_PEAK_BOUND_MB = 4.0
+
+
+def test_unet_forward_traced_peak_stays_under_bound():
+    model = build_unet()
+    cfg = model.config
+    x = T.Tensor(np.random.default_rng(3).random((1, 1, cfg.height, cfg.width), dtype=np.float32))
+    unet_forward(model, x)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        unet_forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < _UNET_FORWARD_PEAK_BOUND_MB
 
 
 def test_conv_block_records_one_tape_entry_per_conv():
