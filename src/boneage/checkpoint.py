@@ -60,7 +60,7 @@ def save_checkpoint(path, params: Dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path) -> Dict[str, np.ndarray]:
-    """Read a checkpoint back as name -> float32 array."""
+    """Read a checkpoint back as name -> float32 array of finite values."""
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -100,6 +100,8 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             raise CheckpointError(f"{path}:{lineno}: blob truncated for {name!r}")
         blob_end = max(blob_end, end)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}:{lineno}: parameter {name!r} holds NaN or inf")
         out[name] = arr.reshape(shape).astype(np.float32)
     if len(blob) > blob_end:
         raise CheckpointError(

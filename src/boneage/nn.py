@@ -12,7 +12,8 @@ max-pool, then ``relu(fc)`` over the flattened features; the heads on
 top are the caller's. ``fit`` runs every network's training from its
 ``TrainSettings``: shuffled minibatches (``minibatches``), a fresh tape
 per step, a finite-loss check, one Adam ``optimizer_step``, and the
-epoch mean handed to ``log_fn``. Both loop calls go through this
+epoch mean handed to ``log_fn``; it returns the parameters averaged
+over the later half of the epoch ends. Both loop calls go through this
 module's names, so code that rebinds them (the benchmark's step clock
 and tracer) sees every step.
 """
@@ -191,12 +192,21 @@ def fit(
     ``label`` names the stage in the per-epoch log line and in the
     TrainingError raised when there is no sample or a batch loss stops
     being finite.
+
+    The parameters come back as the mean of their epoch-end values from
+    epoch ``epochs // 2`` on (the last epoch's alone for one or two
+    epochs), kept as a running float32 mean: averaged weights (SWA,
+    Izmailov et al. 2018) depend less on the last bits of any one step's
+    sums. The history, and ``log_fn``, report the live weights' mean
+    batch loss.
     """
     if n < 1:
         raise TrainingError(f"{label} training needs at least one sample")
     rng = np.random.default_rng(seed)
     state = OptimizerState(learning_rate=settings.learning_rate)
     history: List[float] = []
+    first_averaged = settings.epochs // 2
+    mean: Dict[str, np.ndarray] = {}
     for epoch in range(settings.epochs):
         total = 0.0
         batches = 0
@@ -214,4 +224,12 @@ def fit(
         history.append(total / batches)
         if log_fn is not None:
             log_fn(f"{label} epoch {epoch + 1}/{settings.epochs} loss {history[-1]:.5f}")
+        k = epoch - first_averaged + 1
+        for name, p in params.items():
+            if k == 1:
+                mean[name] = p.data.copy()
+            elif k > 1:
+                mean[name] += (p.data - mean[name]) / np.float32(k)
+    for name, p in params.items():
+        p.data = mean[name]
     return history

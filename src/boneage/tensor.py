@@ -32,6 +32,13 @@ columns, so with a finite kernel each is a signed zero. dx's accumulator
 starts at +0.0, and a round-to-nearest sum is -0.0 only when both addends
 are, so it never holds -0.0 and adding +-0.0 to it changes no bit.
 
+dW needs no column matrix (kn2row, Vasudevan et al. 2017): tap (p, q)'s
+(F, C) slice is the sum over images, in image order, of the pitched g
+times the input's cells from flat cell p*Wp + q on, every stride-th,
+read in place. Those are F x C GEMMs of depth span; g's zeroed junk
+columns add zero products. At stride 1 BLAS reads both operands where
+they lie, which ``@`` allows and ``np.dot`` (it copies them) does not.
+
 Where an image's span exceeds 512 columns, the forward copies and
 multiplies its columns in blocks of 512 from the image's first column
 on, the last block partial, so a call holds at most C*kh*kw x 512 floats
@@ -229,25 +236,6 @@ def _relu(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 # convolution and friends
 # ---------------------------------------------------------------------------
 
-def _window_rows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """The (N*Ho*Wo, kh*kw*C) window rows of a C-contiguous padded input,
-    copied from a channels-last copy of it, so each copied run is kw*C
-    contiguous floats. A 1x1 kernel's windows are xp's pixels, read in
-    place: at N = 1 they stay the F-ordered operand (no copy) BLAS got
-    before, whose sums a C-ordered copy would round differently. The
-    channels-last copy lives only inside this call."""
-    n, c, h, w = xp.shape
-    ho = (h - kh) // stride + 1
-    wo = (w - kw) // stride + 1
-    xl, buf = xp.transpose(0, 2, 3, 1), xp
-    if kh * kw > 1:
-        xl = buf = np.ascontiguousarray(xl)
-    s0, s1, s2, s3 = xl.strides
-    strides = (s0, s1 * stride, s2 * stride, s1, s2, s3)
-    rows = np.ndarray((n, ho, wo, kh, kw, c), xp.dtype, buf, 0, strides)
-    return rows.reshape(n * ho * wo, kh * kw * c)
-
-
 _COL_BLOCK = 512  # the forward's column blocks; fixed (see the module notes)
 
 
@@ -277,9 +265,10 @@ def conv2d(
     forward multiplies the (F, C*kh*kw) kernel matrix by the
     (C*kh*kw, N*span) column matrix, in 512-column blocks per image where
     span > 512, and copies out the valid columns.
-    Backward takes dW against (N*Ho*Wo, kh*kw*C) channels-last window rows,
-    permuting its output columns back to (C, kh, kw), and dx from
-    kernel.T @ g, which it skips (None) for an input that needs no grad.
+    Backward lays g out at the same pitch, takes dW from one GEMM per
+    kernel tap and image against the padded input read in place, and dx
+    from kernel.T @ g, which it skips (None) for an input that needs no
+    grad.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -332,16 +321,25 @@ def conv2d(
         if relu:
             g = _keep(out > 0, g)
         db = g.sum(axis=(0, 2, 3))
-        g = g.transpose(1, 0, 2, 3)
-        dw = np.dot(g.reshape(f, n * ho * wo), _window_rows(xp, kh, kw, stride))
-        dw = dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+        # g in zeroed columns at pitch wp: junk columns add zero products
+        # to dW and signed zeros to dcols
+        gp = np.zeros((f, n * span), dtype=np.float32)
+        _pitched(gp, n, ho, wo, wp)[...] = g.transpose(1, 0, 2, 3)
+        gn = gp.reshape(f, n, span)
+        xf = xp.reshape(n, c, hp * wp)
+        dw = np.empty((f, c, kh, kw), dtype=np.float32)
+        for p in range(kh):
+            for q in range(kw):
+                o = p * wp + q
+                cols = xf[:, :, o : o + stride * (span - 1) + 1 : stride]
+                acc = gn[:, 0] @ cols[0].T
+                for i in range(1, n):
+                    acc += gn[:, i] @ cols[i].T
+                dw[:, :, p, q] = acc
         if not x.requires_grad:
             return None, dw, db
-        # g in zeroed columns at pitch wp: dcols' junk columns are signed zeros
-        gp = np.zeros((f, n * span), dtype=np.float32)
-        _pitched(gp, n, ho, wo, wp)[...] = g
         dcols = (k2.T @ gp).reshape(c, kh, kw, n, span)
-        del gp
+        del gp, gn
         dxp = np.zeros((c, n, hp * wp), dtype=np.float32)
         for p in range(kh):
             for q in range(kw):

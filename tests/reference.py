@@ -96,8 +96,9 @@ def conv2d_tensordot_ref(x, w, b, stride=1, padding=0):
 def conv2d_tensordot_grads_ref(x, w, g, stride=1, padding=0):
     """conv2d's backward by tensordot and a batch-major scatter: (dx, dw, db).
 
-    The byte-exact oracle for the backward rule, float32 like
-    ``conv2d_tensordot_ref``; ``g`` is the upstream output gradient.
+    The byte-exact oracle for dx and db (dW's is ``conv2d_tap_dw_ref``),
+    float32 like ``conv2d_tensordot_ref``; ``g`` is the upstream output
+    gradient.
     """
     w = np.asarray(w, dtype=np.float32)
     g = np.asarray(g, dtype=np.float32)
@@ -117,35 +118,63 @@ def conv2d_tensordot_grads_ref(x, w, g, stride=1, padding=0):
     return dxp[:, :, padding : padding + h, padding : padding + wid], dw, db
 
 
-def conv2d_channels_last_dw_ref(x, w, g, stride=1, padding=0):
-    """conv2d's dW as one float32 GEMM over channels-last window rows.
+def conv2d_tap_dw_ref(x, w, g, stride=1, padding=0):
+    """conv2d's dW as one small float32 GEMM per kernel tap and image.
 
-    The byte-exact oracle for dW: g as (F, N*Ho*Wo) times the windows as
-    (N*Ho*Wo, kh*kw*C) rows of an NHWC copy of the padded input, with the
-    product's columns put back in (C, kh, kw) order. A 1x1 kernel's rows
-    are the NCHW input's pixels read in place, an F-ordered operand at
-    N = 1, so BLAS gets the same call as from the package. Where the
-    column order is (C, kh, kw) already (kh = kw = 1 or C = 1) this is
-    ``conv2d_tensordot_grads_ref``'s dW.
+    The byte-exact oracle for dW. ``g`` is laid out at the padded
+    input's row pitch Wp: per filter, image n's output (i, j) is column
+    n*span + i*Wp + j, span = (Ho-1)*Wp + Wo, and the columns j >= Wo are
+    zero. Tap (p, q)'s (F, C) gradient is the sum, in image order, of
+    image n's g columns times the padded input's cells from flat cell
+    p*Wp + q on, every stride-th of span, transposed: the same operands,
+    read in place, that BLAS gets from the package.
     """
     f, c, kh, kw = np.shape(w)
     g = np.asarray(g, dtype=np.float32)
-    ho, wo = g.shape[2], g.shape[3]
+    n, _, ho, wo = g.shape
     xp = np.pad(np.asarray(x, dtype=np.float32), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    if kh == kw == 1:
-        windows = xp.transpose(0, 2, 3, 1)[:, ::stride, ::stride, None, None, :]
-    else:
-        xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
-        s0, s1, s2, s3 = xl.strides
-        windows = np.lib.stride_tricks.as_strided(
-            xl,
-            shape=(xl.shape[0], ho, wo, kh, kw, c),
-            strides=(s0, s1 * stride, s2 * stride, s1, s2, s3),
-            writeable=False,
-        )
-    rows = windows.reshape(-1, kh * kw * c)
-    dw = np.dot(g.transpose(1, 0, 2, 3).reshape(f, -1), rows)
-    return dw.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+    hp, wp = xp.shape[2], xp.shape[3]
+    span = (ho - 1) * wp + wo
+    gp = np.zeros((f, n * span), dtype=np.float32)
+    for ni in range(n):
+        for i in range(ho):
+            start = ni * span + i * wp
+            gp[:, start : start + wo] = g[ni, :, i, :]
+    flat = xp.reshape(n, c, hp * wp)
+    dw = np.zeros((f, c, kh, kw), dtype=np.float32)
+    for p in range(kh):
+        for q in range(kw):
+            start = p * wp + q
+            acc = None
+            for ni in range(n):
+                cells = flat[ni, :, start : start + stride * (span - 1) + 1 : stride]
+                term = gp[:, ni * span : (ni + 1) * span] @ cells.T
+                acc = term if acc is None else acc + term
+            dw[:, :, p, q] = acc
+    return dw
+
+
+def conv2d_dw_ref(x, g, kh, kw, stride=1, padding=0):
+    """conv2d's kernel gradient for upstream gradient ``g``, float64 loops:
+    dw[f, c, p, q] = sum over n, i, j of g[n, f, i, j] * x_pad[n, c, i*stride + p, j*stride + q]."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c = x.shape[:2]
+    _, f, ho, wo = g.shape
+    dw = np.zeros((f, c, kh, kw), dtype=np.float64)
+    for ni in range(n):
+        for fi in range(f):
+            for ci in range(c):
+                for p in range(kh):
+                    for q in range(kw):
+                        acc = 0.0
+                        for i in range(ho):
+                            for j in range(wo):
+                                acc += g[ni, fi, i, j] * x[ni, ci, i * stride + p, j * stride + q]
+                        dw[fi, ci, p, q] += acc
+    return dw
 
 
 def conv2d_padded_width_ref(x, w, b, stride=1, padding=0):

@@ -123,6 +123,17 @@ def test_bytes_after_the_last_parameter_rejected(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_parameter_rejected_naming_file_and_parameter(tmp_path, value):
+    # a NaN bias used to load and print "nan" as a predicted age
+    params = _params(np.random.default_rng(7))
+    params["enc.b"].data[1] = value
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(path, params)
+    with pytest.raises(CheckpointError, match=r"bad\.ckpt:3: parameter 'enc\.b' holds NaN or inf"):
+        load_checkpoint(path)
+
+
 def test_failed_save_leaves_the_previous_checkpoint_and_no_temp_file(tmp_path, monkeypatch):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, _params(np.random.default_rng(5)))

@@ -1,10 +1,13 @@
-"""The Adam update against hand-computed traces."""
+"""The Adam update against hand-computed traces, and ``nn.fit``'s
+epoch-end weight averaging."""
 
 import numpy as np
 import pytest
 
-from boneage import optim
+from boneage import nn, optim
+from boneage import tensor as T
 from boneage.errors import ContractError, TrainingError
+from boneage.optim import TrainSettings
 from boneage.tensor import Tensor
 
 from reference import adam_trace_ref
@@ -81,3 +84,45 @@ def test_zero_grads_clears_every_gradient():
     p.grad = np.ones(2, dtype=np.float32)
     optim.zero_grads({"p": p, "q": q})
     assert p.grad is None and q.grad is None
+
+
+def _fit_toy(epochs):
+    """A dense layer fitted by ``nn.fit``; returns its parameters, their
+    values at each epoch end (read from the log hook, which runs then)
+    and the loss history."""
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((12, 3)).astype(np.float32)
+    y = rng.standard_normal((12, 2)).astype(np.float32)
+    params = {
+        "w": Tensor(rng.standard_normal((3, 2)) * 0.1, requires_grad=True),
+        "b": Tensor(np.zeros(2), requires_grad=True),
+    }
+    ends = []
+
+    def loss_fn(idx):
+        return T.loss(T.dense(T.Tensor(x[idx]), params["w"], params["b"]), T.Tensor(y[idx]), "mse")
+
+    def log_fn(line):
+        ends.append({name: p.data.copy() for name, p in params.items()})
+
+    settings = TrainSettings(epochs=epochs, learning_rate=0.05, batch_size=4)
+    history = nn.fit(params, len(x), loss_fn, settings, seed=3, label="toy", log_fn=log_fn)
+    return params, ends, history
+
+
+@pytest.mark.parametrize("epochs", [2, 5, 6])
+def test_fit_returns_the_mean_of_the_later_half_epoch_end_weights(epochs):
+    params, ends, history = _fit_toy(epochs)
+    assert len(ends) == len(history) == epochs
+    for name, p in params.items():
+        window = np.stack([end[name] for end in ends[epochs // 2 :]]).astype(np.float64)
+        assert p.data.dtype == np.float32
+        np.testing.assert_allclose(p.data, window.mean(axis=0), rtol=1e-6, atol=1e-7)
+        if epochs > 2:
+            assert not np.array_equal(p.data, ends[-1][name])
+
+
+def test_fit_with_one_epoch_returns_the_final_weights():
+    params, ends, _ = _fit_toy(1)
+    for name, p in params.items():
+        assert p.data.tobytes() == ends[0][name].tobytes()

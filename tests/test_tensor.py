@@ -18,9 +18,10 @@ from boneage.segmentation import UNetConfig, build_unet, unet_forward
 from reference import (
     bce_ref,
     concat_channels_ref,
-    conv2d_channels_last_dw_ref,
+    conv2d_dw_ref,
     conv2d_padded_width_ref,
     conv2d_ref,
+    conv2d_tap_dw_ref,
     conv2d_tensordot_grads_ref,
     conv2d_tensordot_ref,
     dense_ref,
@@ -197,20 +198,20 @@ def _conv_case(shape):
 # stride-2 shapes whose output columns land in other OpenBLAS edge tiles
 # at the padded-width pitch, so 7 of 240 and 17 of 960 forward cells round
 # differently from the tensordot GEMM (max abs 6e-7 and 1.9e-6); their
-# dx, dW and db, and every stride-1 shape, keep the tensordot bytes
+# dx and db, and every stride-1 shape's forward, keep the tensordot bytes
 _PITCH_ROUNDED_SHAPES = {(2, 5, 9, 11, 4, 3, 2, 1), (2, 5, 19, 16, 6, 3, 2, 1)}
 
 
 def _assert_conv_matches_oracles(shape):
     """The forward against the one-GEMM padded-width oracle, dx and db
-    against the tensordot grads and dW against the channels-last rows, all
+    against the tensordot grads and dW against the per-tap GEMMs, all
     byte for byte; returns the case's x, kernel, bias and forward."""
     stride, padding = shape[6:]
     x, kern, b, g, out, (dx, dw, db) = _conv_case(shape)
     want = conv2d_padded_width_ref(x, kern, b, stride=stride, padding=padding)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
     want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, stride, padding)
-    want_dw = conv2d_channels_last_dw_ref(x, kern, g, stride, padding)
+    want_dw = conv2d_tap_dw_ref(x, kern, g, stride, padding)
     for got_g, want_g in ((dx, want_dx), (dw, want_dw), (db, want_db)):
         assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes()
     return x, kern, b, out
@@ -251,9 +252,10 @@ def test_conv2d_column_blocks_are_byte_identical_to_one_gemm(shape):
     _assert_conv_matches_oracles(shape)
 
 
-# dW's channels-last columns come in (C, kh, kw) order already: the
-# 1x1 and single-channel shapes above, and the nets' first layers and
-# U-Net head at N = 1, 2, 3, 4, 8 and 16
+# the 1x1 and single-channel shapes above, and the nets' first layers and
+# U-Net head at N = 1, 2, 3, 4, 8 and 16. dW once took tensordot's bytes
+# on these shapes, which named the test; the per-tap sum over images now
+# sets them.
 _IDENTITY_ORDER_SHAPES = [s for s in ALL_CONV_SHAPES if s[5] == 1 or s[1] == 1] + [
     (n,) + layer for n in (1, 2, 3, 4, 8, 16)
     for layer in ((1, 64, 96, 8, 3, 1, 1), (1, 128, 96, 8, 3, 1, 1), (1, 64, 64, 8, 3, 1, 1), (8, 64, 96, 1, 1, 1, 0))
@@ -263,8 +265,28 @@ _IDENTITY_ORDER_SHAPES = [s for s in ALL_CONV_SHAPES if s[5] == 1 or s[1] == 1] 
 @pytest.mark.parametrize("shape", _IDENTITY_ORDER_SHAPES)
 def test_conv2d_dw_is_byte_identical_to_tensordot_where_column_order_is_kept(shape):
     x, kern, _, g, _, (_, dw, _) = _conv_case(shape)
-    _, want_dw, _ = conv2d_tensordot_grads_ref(x, kern, g, *shape[6:])
+    want_dw = conv2d_tap_dw_ref(x, kern, g, *shape[6:])
     assert dw.shape == want_dw.shape and dw.tobytes() == want_dw.tobytes()
+
+
+# dW reads each tap's cells every stride-th one, the only stride-dependent
+# step of its GEMMs; no pipeline conv has stride 2, so these shapes hold
+# it to float64 loops, which share no code with the package or the
+# per-tap oracle
+_STRIDE2_SHAPES = [
+    (1, 3, 9, 11, 4, 3, 2, 1),
+    (3, 2, 10, 7, 5, 3, 2, 0),
+    (2, 4, 8, 9, 3, 2, 2, 1),
+    (3, 5, 7, 8, 2, 1, 2, 0),
+]
+
+
+@pytest.mark.parametrize("shape", _STRIDE2_SHAPES)
+def test_conv2d_stride2_dw_matches_the_float64_reference(shape):
+    x, kern, _, g, _, (_, dw, _) = _conv_case(shape)
+    k, stride, padding = shape[5:]
+    want = conv2d_dw_ref(x, g, k, k, stride, padding)
+    np.testing.assert_allclose(dw, want, rtol=1e-5, atol=1e-5)
 
 
 def test_conv2d_windows_non_contiguous_and_read_only_inputs():
@@ -525,7 +547,7 @@ def test_pipeline_convs_are_byte_identical_to_the_oracles(monkeypatch, net, n):
         if relu:
             want_out, g = relu_where_ref(want_out, g)
         want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, 1, padding)
-        want_dw = conv2d_channels_last_dw_ref(x, kern, g, 1, padding)
+        want_dw = conv2d_tap_dw_ref(x, kern, g, 1, padding)
         layer = (c, h, w, kshape, padding, relu)
         assert out.data.tobytes() == want_out.tobytes(), layer
         for got_g, want_g in zip(got, (want_dx, want_dw, want_db)):
