@@ -8,7 +8,8 @@ One file per checkpoint: a text manifest, then the raw parameter data.
     <blank line>
     <little-endian float32 blob, parameters in manifest order>
 
-Offsets are relative to the start of the blob. Checkpoints hold
+Offsets are relative to the start of the blob, and each parameter's data
+starts where the previous one's ends. Checkpoints hold
 parameter values only; model geometry is rebuilt from config. Files
 are replaced atomically (``write_atomic``), so a failed save leaves the
 previous checkpoint as it was.
@@ -74,7 +75,7 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
     if not manifest or manifest[0].strip() != FORMAT_LINE:
         raise CheckpointError(f"{path}: missing '{FORMAT_LINE}' header line")
     out: Dict[str, np.ndarray] = {}
-    blob_end = 0
+    blob_end = 0  # where the next parameter's data must start
     for lineno, line in enumerate(manifest[1:], start=2):
         line = line.strip()
         if not line:
@@ -94,11 +95,12 @@ def load_checkpoint(path) -> Dict[str, np.ndarray]:
             raise CheckpointError(f"{path}:{lineno}: negative offset or extent below 1 in {line!r}")
         if name in out:
             raise CheckpointError(f"{path}:{lineno}: parameter {name!r} listed twice")
+        if offset != blob_end:
+            raise CheckpointError(f"{path}:{lineno}: parameter {name!r} starts at byte {offset}, not {blob_end}")
         count = int(np.prod(shape)) if shape else 1
-        end = offset + 4 * count
-        if end > len(blob):
+        blob_end += 4 * count
+        if blob_end > len(blob):
             raise CheckpointError(f"{path}:{lineno}: blob truncated for {name!r}")
-        blob_end = max(blob_end, end)
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}:{lineno}: parameter {name!r} holds NaN or inf")

@@ -217,15 +217,14 @@ def _clamped_box(x, y, bw, bh, w, h) -> RoiBox:
 def generate_dataset(
     count: int,
     seed: int = 0,
-    maturity_range: Tuple[float, float] = (0.0, 1.0),
     negative_fraction: float = 0.0,
     image_size: Tuple[int, int] = (96, 64),
     noise_level: float = 0.02,
 ) -> List[PhantomSample]:
     """Render a reproducible list of phantoms.
 
-    Maturities are stratified uniformly over ``maturity_range`` (one
-    per equal-width stratum, jittered inside it), sexes alternate, and
+    Maturities are stratified uniformly over [0, 1) (one per
+    equal-width stratum, jittered inside it), sexes alternate, and
     floor(count * negative_fraction) samples spread evenly through the
     list render without a joint.
     """
@@ -233,9 +232,6 @@ def generate_dataset(
         raise ContractError(f"dataset size must be >= 1, got {count}")
     if not 0.0 <= negative_fraction < 1.0:
         raise ContractError(f"negative_fraction must be in [0, 1), got {negative_fraction}")
-    lo, hi = maturity_range
-    if not (0.0 <= lo <= hi <= 1.0):
-        raise ContractError(f"maturity_range must be ordered within [0, 1], got {maturity_range}")
     master = np.random.default_rng(seed)
     n_neg = int(math.floor(count * negative_fraction))
     neg_stride = count / n_neg if n_neg else 0.0
@@ -244,12 +240,11 @@ def generate_dataset(
     for idx in range(count):
         sample_seed = int(master.integers(0, 2**31 - 1))
         jitter = float(master.uniform(0.0, 1.0))
-        maturity = lo + (hi - lo) * (idx + jitter) / count
         samples.append(
             generate_phantom(
                 PhantomSpec(
                     seed=sample_seed,
-                    maturity=maturity,
+                    maturity=(idx + jitter) / count,
                     sex="female" if idx % 2 == 0 else "male",
                     image_size=image_size,
                     noise_level=noise_level,

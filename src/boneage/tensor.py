@@ -25,19 +25,21 @@ ANDs g's bits with the sign-extended mask (all ones where true): that is
 
 conv2d is lowered to GEMMs (im2col) at the padded input's row pitch Wp:
 output (i, j) of image n is GEMM column n*span + i*Wp + j, with
-span = (Ho-1)*Wp + Wo, so each tap's row of the column matrix, and each
-tap's add into dx, is one run of span cells per (c, n). Columns j >= Wo
-are junk: the forward drops them, and dx builds them from zeroed g
-columns, so with a finite kernel each is a signed zero. dx's accumulator
-starts at +0.0, and a round-to-nearest sum is -0.0 only when both addends
-are, so it never holds -0.0 and adding +-0.0 to it changes no bit.
+span = (Ho-1)*Wp + Wo, so each tap's row of the column matrix is one run
+of span cells per (c, n). Columns j >= Wo are junk: the forward drops
+them, and the backward lays g out with them zeroed.
 
-dW needs no column matrix (kn2row, Vasudevan et al. 2017): tap (p, q)'s
-(F, C) slice is the sum over images, in image order, of the pitched g
-times the input's cells from flat cell p*Wp + q on, every stride-th,
-read in place. Those are F x C GEMMs of depth span; g's zeroed junk
-columns add zero products. At stride 1 BLAS reads both operands where
-they lie, which ``@`` allows and ``np.dot`` (it copies them) does not.
+The backward needs no column matrix (kn2row, Vasudevan et al. 2017): one
+loop over taps (p, q) reads and writes the input's cells from flat cell
+p*Wp + q on, every stride-th. dW's (F, C) slice is the sum over images,
+in image order, of the pitched g times those cells read in place: F x C
+GEMMs of depth span, to which junk columns add zero products. At stride
+1 BLAS reads both operands where they lie, which ``@`` allows and
+``np.dot`` (it copies them) does not. dx adds the kernel's (F, C) slice,
+transposed, times the pitched g into the same cells, taps in (p, q)
+order. With a finite kernel a junk column adds a signed zero; dx starts
+at +0.0, and a round-to-nearest sum is -0.0 only when both addends are,
+so dx never holds -0.0 and adding +-0.0 to it changes no bit.
 
 Where an image's span exceeds 512 columns, the forward copies and
 multiplies its columns in blocks of 512 from the image's first column
@@ -265,10 +267,10 @@ def conv2d(
     forward multiplies the (F, C*kh*kw) kernel matrix by the
     (C*kh*kw, N*span) column matrix, in 512-column blocks per image where
     span > 512, and copies out the valid columns.
-    Backward lays g out at the same pitch, takes dW from one GEMM per
-    kernel tap and image against the padded input read in place, and dx
-    from kernel.T @ g, which it skips (None) for an input that needs no
-    grad.
+    Backward lays g out at the same pitch and, per kernel tap, takes dW
+    from one GEMM per image against the padded input read in place and
+    adds that tap's kernel.T @ g into dx, which it skips (None) for an
+    input that needs no grad.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -322,30 +324,26 @@ def conv2d(
             g = _keep(out > 0, g)
         db = g.sum(axis=(0, 2, 3))
         # g in zeroed columns at pitch wp: junk columns add zero products
-        # to dW and signed zeros to dcols
+        # to dW and signed zeros to dx
         gp = np.zeros((f, n * span), dtype=np.float32)
         _pitched(gp, n, ho, wo, wp)[...] = g.transpose(1, 0, 2, 3)
         gn = gp.reshape(f, n, span)
         xf = xp.reshape(n, c, hp * wp)
         dw = np.empty((f, c, kh, kw), dtype=np.float32)
+        dxp = np.zeros((c, n, hp * wp), dtype=np.float32) if x.requires_grad else None
         for p in range(kh):
             for q in range(kw):
                 o = p * wp + q
-                cols = xf[:, :, o : o + stride * (span - 1) + 1 : stride]
+                run = slice(o, o + stride * (span - 1) + 1, stride)
+                cols = xf[:, :, run]
                 acc = gn[:, 0] @ cols[0].T
                 for i in range(1, n):
                     acc += gn[:, i] @ cols[i].T
                 dw[:, :, p, q] = acc
-        if not x.requires_grad:
+                if dxp is not None:
+                    dxp[:, :, run] += (kernel.data[:, :, p, q].T @ gp).reshape(c, n, span)
+        if dxp is None:
             return None, dw, db
-        dcols = (k2.T @ gp).reshape(c, kh, kw, n, span)
-        del gp, gn
-        dxp = np.zeros((c, n, hp * wp), dtype=np.float32)
-        for p in range(kh):
-            for q in range(kw):
-                o = p * wp + q
-                dxp[:, :, o : o + stride * (span - 1) + 1 : stride] += dcols[:, p, q]
-        del dcols
         dx = dxp.reshape(c, n, hp, wp).transpose(1, 0, 2, 3)
         if padding:
             dx = dx[:, :, padding : padding + h, padding : padding + w]

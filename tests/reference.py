@@ -118,6 +118,48 @@ def conv2d_tensordot_grads_ref(x, w, g, stride=1, padding=0):
     return dxp[:, :, padding : padding + h, padding : padding + wid], dw, db
 
 
+def _pitched_g(g, wp):
+    """float32 g laid out at row pitch wp: (F, N*span) with image n's
+    output (i, j) in column n*span + i*wp + j, span = (Ho-1)*wp + Wo, and
+    zeros in the columns j >= Wo; returns it and span."""
+    g = np.asarray(g, dtype=np.float32)
+    n, f, ho, wo = g.shape
+    span = (ho - 1) * wp + wo
+    gp = np.zeros((f, n * span), dtype=np.float32)
+    for ni in range(n):
+        for i in range(ho):
+            start = ni * span + i * wp
+            gp[:, start : start + wo] = g[ni, :, i, :]
+    return gp, span
+
+
+def conv2d_tap_dx_ref(x, w, g, stride=1, padding=0):
+    """conv2d's dx as one float32 GEMM per kernel tap, added tap by tap.
+
+    The byte-exact oracle for dx where the column gradient's one-GEMM
+    bytes (``conv2d_tensordot_grads_ref``) are not kept, the single-channel
+    layers. ``g`` is laid out at the padded input's row pitch as in
+    ``conv2d_tap_dw_ref``; tap (p, q)'s (C, N*span) product is the
+    kernel's (F, C) slice, transposed, times that g, and its image n
+    block is added, in (p, q) order, to the padded dx's cells from flat
+    cell p*Wp + q on, every stride-th of span. The padding is cut off.
+    """
+    w = np.asarray(w, dtype=np.float32)
+    f, c, kh, kw = w.shape
+    n, _, h, wid = np.shape(x)
+    hp, wp = h + 2 * padding, wid + 2 * padding
+    gp, span = _pitched_g(g, wp)
+    dxp = np.zeros((n, c, hp * wp), dtype=np.float32)
+    for p in range(kh):
+        for q in range(kw):
+            start = p * wp + q
+            prod = w[:, :, p, q].T @ gp
+            for ni in range(n):
+                dxp[ni, :, start : start + stride * (span - 1) + 1 : stride] += prod[:, ni * span : (ni + 1) * span]
+    dxp = dxp.reshape(n, c, hp, wp)
+    return dxp[:, :, padding : padding + h, padding : padding + wid]
+
+
 def conv2d_tap_dw_ref(x, w, g, stride=1, padding=0):
     """conv2d's dW as one small float32 GEMM per kernel tap and image.
 
@@ -130,16 +172,9 @@ def conv2d_tap_dw_ref(x, w, g, stride=1, padding=0):
     read in place, that BLAS gets from the package.
     """
     f, c, kh, kw = np.shape(w)
-    g = np.asarray(g, dtype=np.float32)
-    n, _, ho, wo = g.shape
     xp = np.pad(np.asarray(x, dtype=np.float32), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = xp.shape[2], xp.shape[3]
-    span = (ho - 1) * wp + wo
-    gp = np.zeros((f, n * span), dtype=np.float32)
-    for ni in range(n):
-        for i in range(ho):
-            start = ni * span + i * wp
-            gp[:, start : start + wo] = g[ni, :, i, :]
+    n, _, hp, wp = xp.shape
+    gp, span = _pitched_g(g, wp)
     flat = xp.reshape(n, c, hp * wp)
     dw = np.zeros((f, c, kh, kw), dtype=np.float32)
     for p in range(kh):

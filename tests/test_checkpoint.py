@@ -116,6 +116,24 @@ def test_repeated_parameter_name_rejected_with_line_number(tmp_path):
         load_checkpoint(path)
 
 
+def test_overlapping_parameters_rejected_with_line_number(tmp_path):
+    # 'v' used to load as a second view of w's data (or w[1]'s)
+    path = tmp_path / "overlap.ckpt"
+    blob = np.array([1.0, 2.0], dtype="<f4").tobytes()
+    path.write_bytes(f"{FORMAT_LINE}\nw 2 float32 0\nv 1 float32 4\n\n".encode() + blob)
+    with pytest.raises(CheckpointError, match=r"overlap\.ckpt:3: parameter 'v' starts at byte 4, not 8"):
+        load_checkpoint(path)
+
+
+def test_gap_before_a_parameter_rejected_with_line_number(tmp_path):
+    # the skipped first 4 bytes used to go unread and 'w' loaded as 2.0
+    path = tmp_path / "gap.ckpt"
+    blob = np.array([7.0, 2.0], dtype="<f4").tobytes()
+    path.write_bytes(f"{FORMAT_LINE}\nw 1 float32 4\n\n".encode() + blob)
+    with pytest.raises(CheckpointError, match=r"gap\.ckpt:2: parameter 'w' starts at byte 4, not 0"):
+        load_checkpoint(path)
+
+
 def test_bytes_after_the_last_parameter_rejected(tmp_path):
     path = tmp_path / "long.ckpt"
     path.write_bytes(f"{FORMAT_LINE}\nw 2 float32 0\n\n".encode() + b"\x00" * 16)

@@ -22,6 +22,7 @@ from reference import (
     conv2d_padded_width_ref,
     conv2d_ref,
     conv2d_tap_dw_ref,
+    conv2d_tap_dx_ref,
     conv2d_tensordot_grads_ref,
     conv2d_tensordot_ref,
     dense_ref,
@@ -202,15 +203,26 @@ def _conv_case(shape):
 _PITCH_ROUNDED_SHAPES = {(2, 5, 9, 11, 4, 3, 2, 1), (2, 5, 19, 16, 6, 3, 2, 1)}
 
 
+def _dx_db_oracles(x, kern, g, stride, padding):
+    """dx's and db's byte-exact oracles: the tensordot grads, whose bytes
+    every C > 1 input keeps, and the per-tap GEMMs for a single-channel
+    input's dx, where numpy computes each tap's one-row product
+    differently from the one column-gradient GEMM."""
+    want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, stride, padding)
+    if x.shape[1] == 1:
+        want_dx = conv2d_tap_dx_ref(x, kern, g, stride, padding)
+    return want_dx, want_db
+
+
 def _assert_conv_matches_oracles(shape):
     """The forward against the one-GEMM padded-width oracle, dx and db
-    against the tensordot grads and dW against the per-tap GEMMs, all
-    byte for byte; returns the case's x, kernel, bias and forward."""
+    against ``_dx_db_oracles`` and dW against the per-tap GEMMs, all byte
+    for byte; returns the case's x, kernel, bias and forward."""
     stride, padding = shape[6:]
     x, kern, b, g, out, (dx, dw, db) = _conv_case(shape)
     want = conv2d_padded_width_ref(x, kern, b, stride=stride, padding=padding)
     assert out.shape == want.shape and out.tobytes() == want.tobytes()
-    want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, stride, padding)
+    want_dx, want_db = _dx_db_oracles(x, kern, g, stride, padding)
     want_dw = conv2d_tap_dw_ref(x, kern, g, stride, padding)
     for got_g, want_g in ((dx, want_dx), (dw, want_dw), (db, want_db)):
         assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes()
@@ -546,7 +558,7 @@ def test_pipeline_convs_are_byte_identical_to_the_oracles(monkeypatch, net, n):
         want_out = conv2d_tensordot_ref(x, kern, b, padding=padding)
         if relu:
             want_out, g = relu_where_ref(want_out, g)
-        want_dx, _, want_db = conv2d_tensordot_grads_ref(x, kern, g, 1, padding)
+        want_dx, want_db = _dx_db_oracles(x, kern, g, 1, padding)
         want_dw = conv2d_tap_dw_ref(x, kern, g, 1, padding)
         layer = (c, h, w, kshape, padding, relu)
         assert out.data.tobytes() == want_out.tobytes(), layer
@@ -574,6 +586,35 @@ def test_unet_forward_traced_peak_stays_under_bound():
     finally:
         tracemalloc.stop()
     assert peak / 1e6 < _UNET_FORWARD_PEAK_BOUND_MB
+
+
+# traced allocation peak of one default U-Net training step (forward, MSE,
+# backward) at N = 4. With dx added tap by tap it reads 29.5 MB (numpy
+# 2.4); building the whole (C*kh*kw, N*span) column gradient first read
+# 48.0 MB. The bound leaves 6.5 MB of margin and fails the column
+# gradient by 12 MB.
+_UNET_STEP_PEAK_BOUND_MB = 36.0
+
+
+def test_unet_training_step_traced_peak_stays_under_bound():
+    model = build_unet()
+    cfg = model.config
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.random((4, 1, cfg.height, cfg.width), dtype=np.float32))
+    target = T.Tensor(rng.random((4, 1, cfg.height, cfg.width), dtype=np.float32))
+
+    def step():
+        with T.Tape() as tape:
+            tape.backward(T.loss(unet_forward(model, x), target, "mse"))
+
+    step()  # first-call allocations and the parameters' grads out of the way
+    tracemalloc.start()
+    try:
+        step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 1e6 < _UNET_STEP_PEAK_BOUND_MB
 
 
 def test_conv_block_records_one_tape_entry_per_conv():
