@@ -11,15 +11,14 @@ the class scores carry the similarity ranking and the nearest class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import nn
 from .checkpoint import write_atomic
-from .errors import ContractError, DimensionError, ImageIOError
+from .errors import ContractError, DimensionError
 from .imaging import GrayImage
 from .optim import TrainSettings
 from .tensor import Tensor, add, dense, loss, softmax_cross_entropy
@@ -37,19 +36,9 @@ NUM_CLASSES = len(default_atlas_classes())
 
 @dataclass(frozen=True)
 class ReferenceAtlas:
-    """The (sex, age_months) class table; class i is row i.
+    """The fixed (sex, age_months) class table; class i is row i."""
 
-    The table is fixed: anything other than ``default_atlas_classes()``,
-    in that order, is rejected when the atlas is built.
-    """
-
-    classes: Tuple[Tuple[str, float], ...] = tuple(default_atlas_classes())
-
-    def __post_init__(self):
-        if tuple(self.classes) != tuple(default_atlas_classes()):
-            raise ContractError(
-                f"atlas must be the class table {default_atlas_classes()}, got {list(self.classes)}"
-            )
+    classes: ClassVar[Tuple[Tuple[str, float], ...]] = tuple(default_atlas_classes())
 
     @property
     def min_age(self) -> float:
@@ -86,27 +75,6 @@ def save_atlas(atlas: ReferenceAtlas, manifest_path) -> None:
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     write_atomic(manifest_path, ("\n".join(_manifest_lines(atlas)) + "\n").encode("ascii"))
-
-
-def load_atlas(manifest_path) -> ReferenceAtlas:
-    """Read a manifest written by save_atlas.
-
-    The table is fixed, so any other content fails, naming the first
-    line that differs from it.
-    """
-    manifest_path = Path(manifest_path)
-    try:
-        text = manifest_path.read_text(encoding="ascii", errors="replace")
-    except OSError as exc:
-        raise ImageIOError(f"cannot read atlas manifest {manifest_path}: {exc}") from exc
-    atlas = ReferenceAtlas()
-    lines = zip_longest(_manifest_lines(atlas), text.splitlines(), fillvalue="")
-    for lineno, (want, got) in enumerate(lines, start=1):
-        if got.split() != want.split():
-            raise ContractError(
-                f"{manifest_path}:{lineno}: expected {want or 'end of file'!r}, got {got!r}"
-            )
-    return atlas
 
 
 @dataclass

@@ -32,7 +32,7 @@ from .segmentation import segment
 _TRAIN = {
     "train-seg": ("train the segmentation network", "segmentation", pl.train_segmentation_stage),
     "train-roi": ("train the localization network", "localization", pl.train_roi_stage),
-    "train-age": ("train the age network and write the atlas", "age", pl.train_age_stage),
+    "train-age": ("train the age network", "age", pl.train_age_stage),
 }
 
 
@@ -200,8 +200,6 @@ def _cmd_train(args, config: PipelineConfig) -> int:
     history = train_stage(config, samples, log_fn=_log_fn(args))[-1]
     print(f"{stage}: {len(history)} epochs, final loss {history[-1]:.5f}")
     print(f"checkpoint: {getattr(config, checkpoint)}")
-    if stage == "age":
-        print(f"atlas: {config.atlas_manifest}")
     return 0
 
 

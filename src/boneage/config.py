@@ -47,7 +47,6 @@ class PipelineConfig:
     seg_checkpoint: Path = Path("out/seg.ckpt")
     roi_checkpoint: Path = Path("out/roi.ckpt")
     age_checkpoint: Path = Path("out/age.ckpt")
-    atlas_manifest: Path = Path("out/atlas/atlas.txt")
     confidence_threshold: float = 0.5
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
     unet: UNetConfig = field(default_factory=UNetConfig)
@@ -68,7 +67,7 @@ class PipelineConfig:
         super().__setattr__(name, value)
 
 
-_ARTIFACTS = ("seg_checkpoint", "roi_checkpoint", "age_checkpoint", "atlas_manifest")
+_ARTIFACTS = ("seg_checkpoint", "roi_checkpoint", "age_checkpoint")
 
 
 def rebase_out(config: PipelineConfig, new_out: Path) -> None:

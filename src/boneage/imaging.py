@@ -94,6 +94,8 @@ class GrayImage:
 # ---------------------------------------------------------------------------
 
 def _read_pgm(raw: bytes, path: Path) -> GrayImage:
+    if not raw[2:3].isspace():  # "P5" ends at whitespace
+        raise ImageIOError(f"{path}: malformed PGM header")
     # header tokens may be separated by whitespace and '#' comments
     pos = 2  # past "P5"
     fields = []
@@ -111,10 +113,11 @@ def _read_pgm(raw: bytes, path: Path) -> GrayImage:
             raise ImageIOError(f"{path}: truncated PGM header")
         fields.append(raw[start:pos])
     pos += 1  # single whitespace byte after maxval
-    try:
-        width, height, maxval = (int(f) for f in fields)
-    except ValueError:
-        raise ImageIOError(f"{path}: malformed PGM header") from None
+    # ASCII digits only: int() would also take "+2" or "1_0"; a leading
+    # "-" passes here so a negative extent is reported as one below
+    if not all(f.removeprefix(b"-").isdigit() for f in fields):
+        raise ImageIOError(f"{path}: malformed PGM header")
+    width, height, maxval = (int(f) for f in fields)
     if width < 1 or height < 1:
         raise ImageIOError(f"{path}: PGM extents must be >= 1, got {width}x{height}")
     if maxval != 255:

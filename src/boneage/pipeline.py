@@ -27,8 +27,6 @@ from .age_estimation import (
     ReferenceAtlas,
     build_age_model,
     estimate_age,
-    load_atlas,
-    save_atlas,
     train_age,
 )
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
@@ -139,6 +137,9 @@ def _jitter_box(box: RoiBox, rng: np.random.Generator) -> RoiBox:
     h = box.h * float(rng.uniform(0.85, 1.25))
     cx = box.x + box.w / 2.0 + float(rng.uniform(-0.08, 0.08)) * box.w
     cy = box.y + box.h / 2.0 + float(rng.uniform(-0.08, 0.08)) * box.h
+    # on a small phantom canvas the bone can fill the frame, and a box
+    # grown past it would be clamped off its edge
+    w, h = min(w, PREPARED_WIDTH), min(h, PREPARED_HEIGHT)
     x = min(max(cx - w / 2.0, 0.0), PREPARED_WIDTH - w)
     y = min(max(cy - h / 2.0, 0.0), PREPARED_HEIGHT - h)
     return RoiBox(x=x, y=y, w=w, h=h)
@@ -273,16 +274,14 @@ def _fit_stage(config: PipelineConfig, stage: str, train, dataset, log_fn: LogFn
 
 
 def train_segmentation_stage(
-    config: PipelineConfig, samples: Optional[Sequence[PhantomSample]] = None, log_fn: LogFn = None
+    config: PipelineConfig, samples: Sequence[PhantomSample], log_fn: LogFn = None
 ) -> Tuple[Model, List[float]]:
-    samples = samples if samples is not None else training_phantoms(config)
     return _fit_stage(config, "segmentation", train_segmentation, segmentation_data(samples), log_fn)
 
 
 def train_roi_stage(
-    config: PipelineConfig, samples: Optional[Sequence[PhantomSample]] = None, log_fn: LogFn = None
+    config: PipelineConfig, samples: Sequence[PhantomSample], log_fn: LogFn = None
 ) -> Tuple[Model, List[float]]:
-    samples = samples if samples is not None else training_phantoms(config)
     return _fit_stage(
         config, "localization", train_roi, roi_data(samples, config.rpn.input_size), log_fn
     )
@@ -290,7 +289,7 @@ def train_roi_stage(
 
 def train_age_stage(
     config: PipelineConfig,
-    samples: Optional[Sequence[PhantomSample]] = None,
+    samples: Sequence[PhantomSample],
     log_fn: LogFn = None,
     seg_model: Optional[Model] = None,
 ) -> Tuple[Model, ReferenceAtlas, List[float]]:
@@ -299,13 +298,11 @@ def train_age_stage(
     Requires the segmentation checkpoint (or a seg_model passed in),
     since the age network must see segmenter-masked crops.
     """
-    samples = samples if samples is not None else training_phantoms(config)
     if seg_model is None:
         seg_model = load_model(config, "segmentation")
     atlas = build_phantom_atlas(config)
     dataset = age_data_deployed(samples, atlas, config.age.input_size, seg_model, seed=config.seed)
     model, history = _fit_stage(config, "age", train_age, dataset, log_fn)
-    save_atlas(atlas, config.atlas_manifest)
     return model, atlas, history
 
 
@@ -327,16 +324,13 @@ class Pipeline:
     def load(cls, config: PipelineConfig) -> "Pipeline":
         """Build models from config geometry and restore checkpoints.
 
-        Every artifact is checked for presence before any is read.
+        Every checkpoint is checked for presence before any is read; the
+        atlas is the fixed class table and comes from no file.
         """
         for stage in STAGES:
             _checkpoint_path(config, stage)
-        if not Path(config.atlas_manifest).is_file():
-            raise StartupError(f"age: atlas manifest missing at {config.atlas_manifest}")
         models = [load_model(config, stage) for stage in STAGES]
-        with _stage("age"):
-            atlas = load_atlas(config.atlas_manifest)
-        return cls(config, *models, atlas)
+        return cls(config, *models, build_phantom_atlas(config))
 
     def predict_image(
         self, img: GrayImage, image_path: str = "<memory>", dump_dir: Optional[Path] = None

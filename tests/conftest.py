@@ -20,7 +20,6 @@ from boneage.age_estimation import (
     ReferenceAtlas,
     build_age_model,
     estimate_age,
-    save_atlas,
     train_age,
 )
 from boneage.checkpoint import save_checkpoint
@@ -63,7 +62,6 @@ def make_config(out_dir: Path, seed: int = STACK_SEED) -> PipelineConfig:
     cfg.seg_checkpoint = out_dir / "seg.ckpt"
     cfg.roi_checkpoint = out_dir / "roi.ckpt"
     cfg.age_checkpoint = out_dir / "age.ckpt"
-    cfg.atlas_manifest = out_dir / "atlas.txt"
     return cfg
 
 
@@ -219,7 +217,6 @@ def trained_stack(tmp_path_factory) -> TrainedStack:
     seconds["age"] = time.time() - t0
     epochs["age"] = done
     save_checkpoint(cfg.age_checkpoint, age_model.params)
-    save_atlas(atlas, cfg.atlas_manifest)
 
     return TrainedStack(
         config=cfg,

@@ -30,7 +30,6 @@ def test_defaults_without_a_file():
     assert cfg.seed == 0
     assert cfg.out_dir == Path("out")
     assert cfg.seg_checkpoint == Path("out/seg.ckpt")
-    assert cfg.atlas_manifest == Path("out/atlas/atlas.txt")
     assert cfg.confidence_threshold == 0.5
     assert cfg.unet.depth == 3
     assert cfg.rpn.input_size == (96, 128)
@@ -100,7 +99,6 @@ def test_relative_paths_resolve_against_the_file(tmp_path):
     assert cfg.seg_checkpoint == tmp_path / "ckpt" / "seg.bin"
     # unset checkpoint paths hang off the chosen out_dir
     assert cfg.roi_checkpoint == tmp_path / "artifacts" / "roi.ckpt"
-    assert cfg.atlas_manifest == tmp_path / "artifacts" / "atlas" / "atlas.txt"
 
 
 def test_absolute_paths_pass_through(tmp_path):
@@ -124,8 +122,13 @@ def test_unknown_section_rejected(tmp_path):
 
 def test_unknown_key_rejected(tmp_path):
     p = tmp_path / "cfg.ini"
-    # a misspelling, and the class count the atlas table now fixes
-    for section, key, value in [("segmentation", "dephts", 3), ("age", "num_classes", 12)]:
+    # a misspelling, the class count the atlas table now fixes, and the
+    # atlas manifest path (the atlas is no file)
+    for section, key, value in [
+        ("segmentation", "dephts", 3),
+        ("age", "num_classes", 12),
+        ("paths", "atlas_manifest", "atlas/atlas.txt"),
+    ]:
         p.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=rf"\[{section}\] unknown keys: {key}"):
             load_config(p)
@@ -236,7 +239,6 @@ out_dir = o
 seg_checkpoint = c/seg.bin
 roi_checkpoint = c/roi.bin
 age_checkpoint = c/age.bin
-atlas_manifest = c/atlas/m.txt
 
 [pipeline]
 seed = 7
@@ -311,7 +313,6 @@ def test_every_schema_key_sets_its_own_field(tmp_path):
         seg_checkpoint=c / "seg.bin",
         roi_checkpoint=c / "roi.bin",
         age_checkpoint=c / "age.bin",
-        atlas_manifest=c / "atlas" / "m.txt",
         confidence_threshold=0.25,
         augmentation=AugmentationSpec(
             shift_stride=5, shift_counts_x=2, shift_counts_y=5,
@@ -349,7 +350,6 @@ def test_rebase_moves_only_paths_under_out_dir():
     assert cfg.out_dir == Path("new")
     assert cfg.seg_checkpoint == Path("/elsewhere/seg.ckpt")
     assert cfg.roi_checkpoint == Path("new/roi.ckpt")
-    assert cfg.atlas_manifest == Path("new/atlas/atlas.txt")
 
 
 def test_out_flag_leaves_artifacts_outside_out_dir_alone(tmp_path):
@@ -362,4 +362,3 @@ def test_out_flag_leaves_artifacts_outside_out_dir_alone(tmp_path):
     assert cfg.out_dir == tmp_path / "new"
     assert cfg.seg_checkpoint == tmp_path / "keep" / "seg.ckpt"
     assert cfg.roi_checkpoint == tmp_path / "new" / "roi.ckpt"
-    assert cfg.atlas_manifest == tmp_path / "new" / "atlas" / "atlas.txt"

@@ -118,6 +118,20 @@ def test_pgm_rejects_extents_below_one(tmp_path, extents):
         load_image(p)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [b"P52 1 255\n", b"P5\n+2 1\n255\n", b"P5\n1_0 1\n255\n"],
+    ids=["magic-glued-to-width", "signed-width", "underscored-width"],
+)
+def test_pgm_rejects_malformed_header(tmp_path, header):
+    # each parses with int() alone; the header wants whitespace after
+    # the magic and plain ASCII digits
+    p = tmp_path / "h.pgm"
+    p.write_bytes(header + bytes(10))
+    with pytest.raises(ImageIOError, match=r"h\.pgm: malformed PGM header"):
+        load_image(p)
+
+
 def test_unknown_magic_rejected(tmp_path):
     p = tmp_path / "x.img"
     p.write_bytes(b"GIF89a...")

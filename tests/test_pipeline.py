@@ -19,7 +19,6 @@ from boneage.age_estimation import (
     AgeConfig,
     ReferenceAtlas,
     build_age_model,
-    save_atlas,
     train_age,
 )
 from boneage.checkpoint import save_checkpoint
@@ -27,7 +26,7 @@ from boneage.config import load_config, rebase_out
 from boneage.errors import CheckpointError, ContractError, StartupError, TrainingError
 from boneage.imaging import load_image, save_image
 from boneage.optim import TrainSettings
-from boneage.phantom import PhantomSpec, generate_phantom
+from boneage.phantom import PhantomSpec, generate_dataset, generate_phantom
 from boneage.roi import RpnConfig, build_rpn, train_roi
 from boneage.segmentation import UNetConfig, build_unet, train_segmentation
 from boneage.pipeline import (
@@ -100,6 +99,15 @@ def test_age_data_keeps_positives_only(tmp_path):
         assert 0 <= class_index < 12
     # the class index is the atlas's own nearest-class answer
     assert triples[0][2] == atlas.class_of("female", 150.0)
+
+
+def test_age_data_crops_on_the_smallest_canvas():
+    """On 32x32 phantoms the bone fills most of the frame, and a box the
+    jitter grows past the 720x960 frame is cut to it, not clamped off it."""
+    samples = generate_dataset(4, seed=0, negative_fraction=0.0, image_size=(32, 32))
+    seg = build_unet(UNetConfig(depth=2, base_channels=4, input_size=(32, 32)))
+    triples = age_data_deployed(samples, ReferenceAtlas(), (32, 32), seg)
+    assert [(crop.width, crop.height) for crop, _, _ in triples] == [(32, 32)] * 4
 
 
 def test_training_and_holdout_streams_are_disjoint(tmp_path):
@@ -197,7 +205,8 @@ def test_load_names_the_first_missing_stage(tmp_path):
     with pytest.raises(StartupError, match="age: checkpoint missing"):
         Pipeline.load(cfg)
     cfg.age_checkpoint.write_bytes(b"")
-    with pytest.raises(StartupError, match="atlas manifest missing"):
+    # the three checkpoints are every file a load needs
+    with pytest.raises(CheckpointError, match="^segmentation:"):
         Pipeline.load(cfg)
 
 
@@ -205,7 +214,6 @@ def test_load_prefixes_corrupt_checkpoint_errors(tmp_path):
     cfg = make_config(tmp_path)
     for p in (cfg.seg_checkpoint, cfg.roi_checkpoint, cfg.age_checkpoint):
         p.write_bytes(b"not a checkpoint\n")
-    cfg.atlas_manifest.write_text("")
     with pytest.raises(CheckpointError, match="segmentation:"):
         Pipeline.load(cfg)
 
@@ -230,7 +238,6 @@ def test_load_rejects_checkpoint_from_a_different_geometry(tmp_path, stage, chan
         if name == stage:
             net = replace(net, **changes)
         save_checkpoint(getattr(cfg, checkpoint), build(net, seed=0).params)
-    save_atlas(ReferenceAtlas(), cfg.atlas_manifest)
     with pytest.raises(CheckpointError, match=f"^{stage}: .*{re.escape(reason)}"):
         Pipeline.load(cfg)
 
@@ -253,35 +260,6 @@ def test_restore_build_has_the_seeded_layout_and_loads_its_bytes(tmp_path, stage
     for name, p in loaded.items():
         assert p.data.dtype == np.float32 and p.data.flags.owndata and p.data.flags.writeable
         assert p.data.tobytes() == seeded[name].data.tobytes()
-
-
-@pytest.mark.parametrize(
-    "manifest, first_bad",
-    [
-        # a 12-month table of another age range, which the table check
-        # must reject even though count, uniqueness and steps all hold
-        (
-            [f"{i} {sex} {60 + 12 * (i % 6)}" for i, sex in enumerate(["female"] * 6 + ["male"] * 6)],
-            "expected '0 female 120', got '0 female 60'",
-        ),
-        # the manifest layout that carried one exemplar PGM per class
-        (
-            [f"{i} {sex} {120 + 12 * (i % 6)} atlas_class_{i:02d}.pgm"
-             for i, sex in enumerate(["female"] * 6 + ["male"] * 6)],
-            "expected '0 female 120', got '0 female 120 atlas_class_00.pgm'",
-        ),
-    ],
-    ids=["other-ages", "exemplar-column"],
-)
-def test_load_rejects_an_atlas_other_than_the_class_table(tmp_path, manifest, first_bad):
-    cfg = make_config(tmp_path)
-    for build, geometry, checkpoint, _ in STAGES.values():
-        save_checkpoint(getattr(cfg, checkpoint), build(getattr(cfg, geometry), seed=0).params)
-    cfg.atlas_manifest.write_text("\n".join(manifest) + "\n")
-    with pytest.raises(ContractError, match=f"^age: .*atlas.txt:1: {re.escape(first_bad)}$"):
-        Pipeline.load(cfg)
-    save_atlas(build_phantom_atlas(cfg), cfg.atlas_manifest)
-    assert Pipeline.load(cfg).atlas == ReferenceAtlas()
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +362,11 @@ def test_cold_load_draws_nothing_and_predicts_like_the_seeded_models(tmp_path):
     save_image(_sample(5).image, image)
     cfg = load_config(None)
     rebase_out(cfg, tmp_path / "out")
-    cfg.atlas_manifest.parent.mkdir(parents=True)
+    cfg.out_dir.mkdir(parents=True)
     for model, (_, _, checkpoint, _) in zip(
         (pipe.seg_model, pipe.roi_model, pipe.age_model), STAGES.values()
     ):
         save_checkpoint(getattr(cfg, checkpoint), model.params)
-    save_atlas(pipe.atlas, cfg.atlas_manifest)
     src = str(Path(imaging.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
