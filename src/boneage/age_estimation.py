@@ -18,7 +18,7 @@ import numpy as np
 
 from . import nn
 from .checkpoint import write_atomic
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .imaging import GrayImage
 from .optim import TrainSettings
 from .tensor import Tensor, add, dense, loss, softmax_cross_entropy
@@ -134,15 +134,6 @@ def age_forward(model: nn.Model, x: Tensor) -> Tuple[Tensor, Tensor]:
     return class_logits, age_norm
 
 
-def _crop_input(model: nn.Model, crop: GrayImage) -> Tensor:
-    cfg = model.config
-    if (crop.width, crop.height) != cfg.input_size:
-        raise DimensionError(
-            f"crop must be {cfg.width}x{cfg.height}, got {crop.width}x{crop.height}"
-        )
-    return Tensor(crop.pixels[None, None, :, :])
-
-
 def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> AgeEstimate:
     """Estimate a continuous age in months for a joint crop.
 
@@ -150,7 +141,7 @@ def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> Age
     to one atlas step beyond the atlas range; the similarity scores
     and nearest class come from the classification head.
     """
-    logits, age_norm = age_forward(model, _crop_input(model, crop))
+    logits, age_norm = age_forward(model, Tensor(nn.planes([crop], model.config)))
     z = logits.data[0].astype(np.float64)
     z -= z.max()
     e = np.exp(z)
@@ -178,24 +169,17 @@ def train_age(
     regression head against age/180. Returns the model and the mean
     loss per epoch.
     """
-    cfg = model.config
     n = len(dataset)
-    crops = np.empty((n, 1, cfg.height, cfg.width), dtype=np.float32)
+    crops = nn.planes([crop for crop, _, _ in dataset], model.config)
     onehot = np.zeros((n, NUM_CLASSES), dtype=np.float32)
     ages = np.empty((n, 1), dtype=np.float32)
-    for i, (crop, age_months, class_index) in enumerate(dataset):
-        if (crop.width, crop.height) != cfg.input_size:
-            raise DimensionError(
-                f"sample {i}: crop must be {cfg.width}x{cfg.height}, "
-                f"got {crop.width}x{crop.height}"
-            )
+    for i, (_, age_months, class_index) in enumerate(dataset):
         if not 0 <= int(class_index) < NUM_CLASSES:
             raise ContractError(
                 f"sample {i}: class index {class_index} outside [0, {NUM_CLASSES})"
             )
         if age_months <= 0:
             raise ContractError(f"sample {i}: age_months must be positive, got {age_months}")
-        crops[i, 0] = crop.pixels
         onehot[i, int(class_index)] = 1.0
         ages[i, 0] = age_months / AGE_NORM
 

@@ -95,7 +95,7 @@ def enumerate_variants(ref: LabeledImage, spec: AugmentationSpec) -> List[Labele
             for rot in spec.rotations:
                 rotated = rotate(shifted, rot) if rot != 0.0 else shifted
                 for flip in spec.flips:
-                    img = flip_horizontal(rotated) if flip else rotated.copy()
+                    img = flip_horizontal(rotated) if flip else rotated
                     out.append(
                         LabeledImage(
                             image=img,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -100,11 +101,14 @@ def _read_csv_pairs(path: Path) -> List:
     if not rows:
         raise ContractError(f"{path}: no data rows")
     out = []
-    for row in rows:
+    for lineno, row in enumerate(rows, start=2):  # line 1 is the header
         try:
-            out.append((row["id"], float(row["months"])))
+            months = float(row["months"])
         except (KeyError, TypeError, ValueError):
             raise ContractError(f"{path}: needs columns id,months") from None
+        if not math.isfinite(months):
+            raise ContractError(f"{path}:{lineno}: months must be finite, got {row['months']!r}")
+        out.append((row["id"], months))
     return out
 
 
@@ -205,8 +209,10 @@ def _cmd_train(args, config: PipelineConfig) -> int:
 
 def _cmd_segment(args, config: PipelineConfig) -> int:
     model = pl.load_model(config, "segmentation")
-    img = load_image(args.image)
-    mask, bone = segment(model, img)
+    with pl.stage("load"):
+        img = load_image(args.image)
+    with pl.stage("segment"):
+        mask, bone = segment(model, img)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.image).stem
@@ -219,9 +225,14 @@ def _cmd_segment(args, config: PipelineConfig) -> int:
 def _cmd_roi(args, config: PipelineConfig) -> int:
     seg_model = pl.load_model(config, "segmentation")
     roi_model = pl.load_model(config, "localization")
-    img = load_image(args.image)
-    _, bone = segment(seg_model, img)
-    box, confidence = predict_roi(roi_model, prepare_roi_input(bone))
+    with pl.stage("load"):
+        img = load_image(args.image)
+    with pl.stage("segment"):
+        _, bone = segment(seg_model, img)
+    with pl.stage("prepare"):
+        prepared = prepare_roi_input(bone)
+    with pl.stage("localize"):
+        box, confidence = predict_roi(roi_model, prepared)
     line = f"{box.x:.1f} {box.y:.1f} {box.w:.1f} {box.h:.1f} {confidence:.4f}"
     print(line)
     out = config.out_dir

@@ -12,8 +12,9 @@ so a chain such as resize -> quarter turn -> resize -> crop -> resize
 computes only the pixels its last consumer reads. Reading ``.pixels``
 evaluates the full grid once and caches it. Images are values: do not
 mutate ``.pixels`` in place, since a lazy image derived from an image
-reads that image's pixels when it is evaluated, and a lazy image caches
-what it computed.
+reads that image's pixels when it is evaluated, a lazy image caches
+what it computed, and a resize to an image's own size returns its input
+rather than a copy.
 
 The bilinear blend (``_blend``) gives every output pixel the same
 float32 operations in the same order as a direct 2-D gather (x-blend of
@@ -80,9 +81,6 @@ class GrayImage:
                 f"pixel values outside [0, 1]: min={float(a.min())}, max={float(a.max())}"
             )
         return cls(a)
-
-    def copy(self) -> "GrayImage":
-        return GrayImage(self.pixels.copy())
 
     def __repr__(self) -> str:
         state = "lazy" if self._pixels is None else "eager"
@@ -256,11 +254,12 @@ def _region(img: GrayImage, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def resize_bilinear(img: GrayImage, new_width: int, new_height: int) -> GrayImage:
-    """Bilinear resize with independent axis scaling and edge clamping (lazy)."""
+    """Bilinear resize with independent axis scaling and edge clamping
+    (lazy); a resize to the image's own size returns the image itself."""
     if new_width < 1 or new_height < 1:
         raise ContractError(f"target extents must be >= 1, got {new_width}x{new_height}")
     if (new_width, new_height) == (img.width, img.height):
-        return img.copy()
+        return img
     return GrayImage._lazy(
         img, _axis_taps(img.height, new_height), _axis_taps(img.width, new_width)
     )

@@ -5,7 +5,8 @@ dict of named parameter Tensors; each network module supplies the
 forward function. These helpers cover He-uniform initialization (or,
 with no seed, zero placeholders for a checkpoint to fill), the conv+relu
 blocks everything is assembled from, the VGG-style trunk the
-localizer and the age net share, and the one training loop.
+localizer and the age net share, the stacking of net-size images into a
+batch (``planes``), and the one training loop.
 
 The trunk is ``block{i}`` double-conv blocks, each followed by a 2x2
 max-pool, then ``relu(fc)`` over the flattened features; the heads on
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DimensionError, TrainingError
+from .imaging import GrayImage
 from .optim import OptimizerState, TrainSettings, optimizer_step, zero_grads
 from .tensor import Tape, Tensor
 
@@ -141,6 +143,21 @@ def check_input(x: Tensor, width: int, height: int) -> None:
             f"expected {height}x{width} input plane, got "
             f"{x.data.shape[2]}x{x.data.shape[3]}"
         )
+
+
+def planes(images: Sequence[GrayImage], config: InputPlane) -> np.ndarray:
+    """Stack images of the net's ``config.input_size`` into an (N, 1,
+    height, width) float32 batch; any other size raises a DimensionError
+    naming the sample."""
+    batch = np.empty((len(images), 1, config.height, config.width), dtype=np.float32)
+    for i, img in enumerate(images):
+        if (img.width, img.height) != config.input_size:
+            raise DimensionError(
+                f"sample {i}: expected a {config.width}x{config.height} image, "
+                f"got {img.width}x{img.height}"
+            )
+        batch[i, 0] = img.pixels
+    return batch
 
 
 def init_vgg_trunk(

@@ -82,7 +82,7 @@ class PredictionRecord:
 
 
 @contextmanager
-def _stage(label: str):
+def stage(label: str):
     """Prefix any pipeline error with the stage that raised it."""
     try:
         yield
@@ -99,9 +99,19 @@ def masked_bone_image(sample: PhantomSample) -> GrayImage:
     return GrayImage(sample.image.pixels * sample.bone_mask.pixels)
 
 
-def segmentation_data(samples: Sequence[PhantomSample]) -> List[Tuple[GrayImage, GrayImage]]:
-    """(image, binary mask) pairs for the segmentation trainer."""
-    return [(s.image, s.bone_mask) for s in samples]
+def segmentation_data(
+    samples: Sequence[PhantomSample], net_size: Tuple[int, int]
+) -> List[Tuple[GrayImage, GrayImage]]:
+    """(net-size image, binary mask) pairs for the segmentation trainer; a
+    canvas of another size is resized and its mask re-binarized at 0.5."""
+    net_w, net_h = net_size
+    out = []
+    for s in samples:
+        mask = s.bone_mask
+        if (mask.width, mask.height) != net_size:
+            mask = GrayImage((resize_bilinear(mask, net_w, net_h).pixels >= 0.5).astype(np.float32))
+        out.append((resize_bilinear(s.image, net_w, net_h), mask))
+    return out
 
 
 def roi_data(
@@ -216,14 +226,14 @@ def _checkpoint_path(config: PipelineConfig, stage: str) -> Path:
     return path
 
 
-def load_model(config: PipelineConfig, stage: str):
-    """Build one stage's network from config geometry and restore its
+def load_model(config: PipelineConfig, name: str):
+    """Build stage ``name``'s network from config geometry and restore its
     checkpoint; any error names the stage. The build draws nothing (zero
     placeholders), and the model takes over the arrays the load made."""
-    path = _checkpoint_path(config, stage)
-    build, geometry = STAGES[stage][:2]
+    path = _checkpoint_path(config, name)
+    build, geometry = STAGES[name][:2]
     model = build(getattr(config, geometry), seed=None)
-    with _stage(stage):
+    with stage(name):
         restore_params(model.params, load_checkpoint(path), str(path))
     return model
 
@@ -276,7 +286,8 @@ def _fit_stage(config: PipelineConfig, stage: str, train, dataset, log_fn: LogFn
 def train_segmentation_stage(
     config: PipelineConfig, samples: Sequence[PhantomSample], log_fn: LogFn = None
 ) -> Tuple[Model, List[float]]:
-    return _fit_stage(config, "segmentation", train_segmentation, segmentation_data(samples), log_fn)
+    data = segmentation_data(samples, config.unet.input_size)
+    return _fit_stage(config, "segmentation", train_segmentation, data, log_fn)
 
 
 def train_roi_stage(
@@ -336,17 +347,17 @@ class Pipeline:
         self, img: GrayImage, image_path: str = "<memory>", dump_dir: Optional[Path] = None
     ) -> PredictionRecord:
         """Run the staged chain on an already-loaded image."""
-        with _stage("segment"):
+        with stage("segment"):
             mask, bone = segment(self.seg_model, img)
-        with _stage("prepare"):
+        with stage("prepare"):
             prepared = prepare_roi_input(bone)
-        with _stage("localize"):
+        with stage("localize"):
             box, confidence = predict_roi(self.roi_model, prepared)
-        with _stage("crop"):
+        with stage("crop"):
             crop = crop_roi(
                 prepared, box, self.config.age.input_size[0], self.config.age.input_size[1]
             )
-        with _stage("age"):
+        with stage("age"):
             estimate = estimate_age(self.age_model, crop, self.atlas)
         if dump_dir is not None:
             dump_dir = Path(dump_dir)
@@ -365,7 +376,7 @@ class Pipeline:
         )
 
     def predict_path(self, image_path, dump_dir: Optional[Path] = None) -> PredictionRecord:
-        with _stage("load"):
+        with stage("load"):
             img = load_image(image_path)
         return self.predict_image(img, image_path=str(image_path), dump_dir=dump_dir)
 

@@ -213,17 +213,6 @@ def predict_roi(model: nn.Model, prepared: GrayImage) -> Tuple[RoiBox, float]:
     return box, confidence
 
 
-def _roi_targets(boxes: Sequence[RoiBox], width: float, height: float):
-    """Normalized (center, log-size) regression targets."""
-    centers = np.empty((len(boxes), 2), dtype=np.float32)
-    sizes = np.empty((len(boxes), 2), dtype=np.float32)
-    for i, b in enumerate(boxes):
-        cx, cy = b.center
-        centers[i] = (cx / width, cy / height)
-        sizes[i] = (math.log(b.w / width), math.log(b.h / height))
-    return centers, sizes
-
-
 def train_roi(
     model: nn.Model,
     dataset: Sequence[Tuple[GrayImage, RoiBox, bool]],
@@ -231,43 +220,27 @@ def train_roi(
     seed: int = 0,
     log_fn=None,
 ) -> Tuple[nn.Model, List[float]]:
-    """Fit the localizer on (image, box, is_true) triples.
+    """Fit the localizer on (image, box, is_true) triples at net size,
+    the box in net-input pixels (``pipeline.roi_data`` makes them).
 
-    Images are resized to the net input; boxes are scaled along. Box
-    regression (smooth L1 on the center/log-size parameters) trains on
-    true samples only; confidence (cross-entropy) trains on every
+    Box regression (smooth L1 on the center/log-size parameters) trains
+    on true samples only; confidence (cross-entropy) trains on every
     sample. Returns the model and the mean loss per epoch.
     """
     cfg = model.config
     n = len(dataset)
-    images = np.empty((n, 1, cfg.height, cfg.width), dtype=np.float32)
-    scaled_boxes: List[Optional[RoiBox]] = []
-    is_true = np.empty(n, dtype=bool)
-    for i, (img, box, flag) in enumerate(dataset):
-        sx, sy = cfg.width / img.width, cfg.height / img.height
-        if (img.width, img.height) != cfg.input_size:
-            img = resize_bilinear(img, cfg.width, cfg.height)
-        images[i, 0] = img.pixels
-        is_true[i] = bool(flag)
-        if flag:
-            b = box.scaled(sx, sy)
-            if not b.inside(cfg.width, cfg.height):
-                raise ContractError(
-                    f"sample {i}: box {box.as_tuple()} lies outside its image"
-                )
-            scaled_boxes.append(b)
-        else:
-            scaled_boxes.append(None)
-
+    images = nn.planes([img for img, _, _ in dataset], cfg)
+    is_true = np.array([bool(flag) for _, _, flag in dataset], dtype=bool)
     centers_all = np.zeros((n, 2), dtype=np.float32)
     sizes_all = np.zeros((n, 2), dtype=np.float32)
-    pos_rows = np.flatnonzero(is_true)
-    if pos_rows.size:
-        c_pos, s_pos = _roi_targets(
-            [scaled_boxes[i] for i in pos_rows], cfg.width, cfg.height
-        )
-        centers_all[pos_rows] = c_pos
-        sizes_all[pos_rows] = s_pos
+    for i, (_, box, flag) in enumerate(dataset):
+        if not flag:
+            continue
+        if not box.inside(cfg.width, cfg.height):
+            raise ContractError(f"sample {i}: box {box.as_tuple()} lies outside its image")
+        cx, cy = box.center
+        centers_all[i] = (cx / cfg.width, cy / cfg.height)
+        sizes_all[i] = (math.log(box.w / cfg.width), math.log(box.h / cfg.height))
     conf_all = is_true.astype(np.float32)[:, None]
 
     def batch_loss(idx: np.ndarray) -> Tensor:

@@ -118,31 +118,6 @@ def dice_score(pred, target, threshold: float = 0.5) -> float:
     return float(2.0 * np.logical_and(ah, bh).sum() / total)
 
 
-def _training_arrays(
-    model: nn.Model, dataset: Sequence[Tuple[GrayImage, GrayImage]]
-) -> Tuple[np.ndarray, np.ndarray]:
-    cfg = model.config
-    images = np.empty((len(dataset), 1, cfg.height, cfg.width), dtype=np.float32)
-    masks = np.empty_like(images)
-    for i, (img, mask) in enumerate(dataset):
-        if (img.width, img.height) != (mask.width, mask.height):
-            raise DimensionError(
-                f"sample {i}: image {img.width}x{img.height} but mask "
-                f"{mask.width}x{mask.height}"
-            )
-        if (img.width, img.height) != cfg.input_size:
-            img = resize_bilinear(img, cfg.width, cfg.height)
-            mask = GrayImage(
-                (resize_bilinear(mask, cfg.width, cfg.height).pixels >= 0.5).astype(np.float32)
-            )
-        bad = np.setdiff1d(np.unique(mask.pixels), [0.0, 1.0])
-        if bad.size:
-            raise TrainingError(f"sample {i}: mask is not binary (found {bad[:4]})")
-        images[i, 0] = img.pixels
-        masks[i, 0] = mask.pixels
-    return images, masks
-
-
 def train_segmentation(
     model: nn.Model,
     dataset: Sequence[Tuple[GrayImage, GrayImage]],
@@ -150,12 +125,18 @@ def train_segmentation(
     seed: int = 0,
     log_fn=None,
 ) -> Tuple[nn.Model, List[float]]:
-    """Fit on (image, binary mask) pairs; both are resized to net size.
+    """Fit on (image, binary mask) pairs at net size
+    (``pipeline.segmentation_data`` makes them).
 
     The loss is cross-entropy plus overlap loss, equally weighted.
     Returns the model and the mean loss per epoch.
     """
-    images, masks = _training_arrays(model, dataset)
+    images = nn.planes([img for img, _ in dataset], model.config)
+    masks = nn.planes([mask for _, mask in dataset], model.config)
+    for i, mask in enumerate(masks):
+        bad = np.setdiff1d(np.unique(mask), [0.0, 1.0])
+        if bad.size:
+            raise TrainingError(f"sample {i}: mask is not binary (found {bad[:4]})")
 
     def batch_loss(idx: np.ndarray) -> Tensor:
         pred = unet_forward(model, Tensor(images[idx]))

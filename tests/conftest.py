@@ -174,7 +174,7 @@ def trained_stack(tmp_path_factory) -> TrainedStack:
     # is comfortably past the acceptance bar
     t0 = time.time()
     seg_model = build_unet(cfg.unet, seed=cfg.seed)
-    seg_pairs = segmentation_data(train_samples)
+    seg_pairs = segmentation_data(train_samples, cfg.unet.input_size)
     done = 0
     while done < 40:
         train_segmentation(seg_model, seg_pairs, replace(cfg.seg_train, epochs=4), seed=cfg.seed + done)

@@ -232,6 +232,18 @@ def test_truncated_seg_checkpoint_fails_with_stage(workspace, tmp_path, capsys, 
     assert "truncated" in err
 
 
+@pytest.mark.parametrize("command", ["segment", "roi"])
+def test_truncated_image_fails_with_the_load_stage(workspace, tmp_path, capsys, command):
+    # the same stage labels as predict's
+    _, ini = workspace
+    img = tmp_path / "bad.pgm"
+    img.write_bytes(b"P5\n2 2\n255\n")
+    assert main([command, str(img), *_args(ini)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: load: {img}: PGM pixel data truncated (0 of 4 bytes)\n"
+    )
+
+
 def test_seed_override_changes_the_data(workspace, tmp_path):
     _, ini = workspace
     for seed, sub in (("11", "a"), ("12", "b")):
@@ -286,6 +298,26 @@ def test_eval_rejects_mismatched_ids(workspace, tmp_path, capsys):
         "eval", "--predictions", str(pred), "--labels", str(labels), "--config", str(ini),
     ]) == 1
     assert "id mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "which, months", [("predictions", "nan"), ("labels", "inf")], ids=["nan", "inf"]
+)
+def test_eval_rejects_non_finite_months(workspace, tmp_path, capsys, which, months):
+    _, ini = workspace
+    files = {}
+    for name in ("predictions", "labels"):
+        files[name] = tmp_path / f"{name}.csv"
+        value = months if name == which else "120"
+        files[name].write_text(f"id,months\na,126\nb,{value}\n")
+    assert main([
+        "eval", "--predictions", str(files["predictions"]), "--labels", str(files["labels"]),
+        "--config", str(ini), "--out", str(tmp_path / "o"),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {files[which]}:3: months must be finite, got '{months}'\n"
+    )
+    assert not (tmp_path / "o" / "report.csv").exists()
 
 
 def test_percent_in_config_exits_with_error(tmp_path, capsys):

@@ -240,6 +240,7 @@ def test_resize_same_size_is_identity():
     rng = np.random.default_rng(3)
     img = _random_image(rng, 11, 17)
     out = resize_bilinear(img, 17, 11)
+    assert out is img  # images are values: no copy
     assert np.max(np.abs(out.pixels - img.pixels)) <= 1e-6
 
 

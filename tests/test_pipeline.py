@@ -23,11 +23,17 @@ from boneage.age_estimation import (
 )
 from boneage.checkpoint import save_checkpoint
 from boneage.config import load_config, rebase_out
-from boneage.errors import CheckpointError, ContractError, StartupError, TrainingError
-from boneage.imaging import load_image, save_image
+from boneage.errors import (
+    CheckpointError,
+    ContractError,
+    DimensionError,
+    StartupError,
+    TrainingError,
+)
+from boneage.imaging import GrayImage, load_image, save_image
 from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_dataset, generate_phantom
-from boneage.roi import RpnConfig, build_rpn, train_roi
+from boneage.roi import RoiBox, RpnConfig, build_rpn, train_roi
 from boneage.segmentation import UNetConfig, build_unet, train_segmentation
 from boneage.pipeline import (
     STAGES,
@@ -67,6 +73,17 @@ def test_masked_bone_image_is_the_pixelwise_product():
     out = masked_bone_image(s)
     np.testing.assert_array_equal(out.pixels, s.image.pixels * s.bone_mask.pixels)
     assert np.all(out.pixels <= s.image.pixels)
+
+
+def test_segmentation_data_resizes_to_the_net_with_binary_masks():
+    samples = [_sample(2), _sample(3, joint=False)]
+    pairs = segmentation_data(samples, (32, 32))
+    assert len(pairs) == 2
+    for img, mask in pairs:
+        assert (img.width, img.height) == (32, 32)
+        assert (mask.width, mask.height) == (32, 32)
+        assert set(np.unique(mask.pixels)) <= {0.0, 1.0}
+        assert mask.pixels.any()
 
 
 def test_roi_data_scales_boxes_into_the_net_frame():
@@ -158,7 +175,7 @@ def test_stage_trains_with_the_config_recipe(tmp_path, stage):
     staged, data = {
         "segmentation": (
             lambda: train_segmentation_stage(cfg, samples),
-            lambda: segmentation_data(samples),
+            lambda: segmentation_data(samples, cfg.unet.input_size),
         ),
         "localization": (
             lambda: train_roi_stage(cfg, samples),
@@ -178,6 +195,27 @@ def test_stage_trains_with_the_config_recipe(tmp_path, stage):
     assert history == direct
     assert len(history) == getattr(cfg, settings).epochs
     assert getattr(cfg, checkpoint).read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
+
+
+def _image(width, height, value=0.0):
+    return GrayImage(np.full((height, width), value, dtype=np.float32))
+
+
+@pytest.mark.parametrize("stage", list(STAGES))
+def test_trainer_rejects_an_off_size_sample_naming_it(tmp_path, stage):
+    """The data builders own sample geometry: a trainer resizes nothing."""
+    cfg = _tiny_config(tmp_path)
+    build, geometry, _, settings = STAGES[stage]
+    w, h = getattr(cfg, geometry).input_size
+    pairs = [(_image(w, h), _image(w, h, 1.0)), (_image(2 * w, 2 * h), _image(2 * w, 2 * h, 1.0))]
+    dataset = {
+        "segmentation": pairs,
+        "localization": [(img, RoiBox(1, 1, 8, 8), True) for img, _ in pairs],
+        "age": [(img, 150.0, 3) for img, _ in pairs],
+    }[stage]
+    message = f"^sample 1: expected a {w}x{h} image, got {2 * w}x{2 * h}$"
+    with pytest.raises(DimensionError, match=message):
+        TRAINERS[stage](build(getattr(cfg, geometry)), dataset, getattr(cfg, settings))
 
 
 @pytest.mark.parametrize("stage", list(STAGES))

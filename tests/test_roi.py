@@ -392,13 +392,16 @@ def test_fit_steps_every_batch_and_logs_once_per_epoch(monkeypatch):
 
 def test_single_sample_overfit_localizes():
     rng = np.random.default_rng(4)
-    # box on the prepared frame; the trainer scales it to net input
+    # box on the prepared frame; the trainer takes both at net input,
+    # as pipeline.roi_data hands them over
     truth = RoiBox(200.0, 350.0, 180.0, 220.0)
     img = _boxed_image(rng, PREPARED_WIDTH, PREPARED_HEIGHT, truth)
+    small = resize_bilinear(img, SMALL.width, SMALL.height)
+    box = truth.scaled(SMALL.width / PREPARED_WIDTH, SMALL.height / PREPARED_HEIGHT)
     model = build_rpn(SMALL, seed=6)
     model, _ = train_roi(
         model,
-        [(img, truth, True)],
+        [(small, box, True)],
         TrainSettings(epochs=300, learning_rate=3e-3, batch_size=1),
         seed=0,
     )
