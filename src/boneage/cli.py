@@ -170,6 +170,8 @@ def _read_references(manifest: Path) -> List[LabeledImage]:
             age = float(age_s)
         except ValueError:
             raise ContractError(f"{manifest}:{lineno}: bad age {age_s!r}") from None
+        if not math.isfinite(age):
+            raise ContractError(f"{manifest}:{lineno}: age must be finite, got {age_s!r}")
         img = load_image(Path(manifest).parent / rel)
         refs.append(LabeledImage.reference(img, age, sex, ref_id=ref_id))
     if not refs:
@@ -242,16 +244,21 @@ def _cmd_roi(args, config: PipelineConfig) -> int:
 
 
 def _cmd_predict(args, config: PipelineConfig) -> int:
+    # an image's file stem is its predictions.csv id and names its debug_<id>/
+    paths = {}
+    for image_path in args.images:
+        stem = Path(image_path).stem
+        if stem in paths:
+            raise ContractError(f"{paths[stem]} and {image_path} share the id {stem!r}")
+        paths[stem] = image_path
     pipe = pl.Pipeline.load(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for image_path in args.images:
-        dump = (
-            config.out_dir / f"debug_{Path(image_path).stem}" if args.verbose else None
-        )
+    for stem, image_path in paths.items():
+        dump = config.out_dir / f"debug_{stem}" if args.verbose else None
         record = pipe.predict_path(image_path, dump_dir=dump)
         print(record.format_line())
-        rows.append((Path(image_path).stem, record.age_months))
+        rows.append((stem, record.age_months))
     pred_csv = config.out_dir / "predictions.csv"
     with pred_csv.open("w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)

@@ -29,17 +29,33 @@ span = (Ho-1)*Wp + Wo, so each tap's row of the column matrix is one run
 of span cells per (c, n). Columns j >= Wo are junk: the forward drops
 them, and the backward lays g out with them zeroed.
 
-The backward needs no column matrix (kn2row, Vasudevan et al. 2017): one
-loop over taps (p, q) reads and writes the input's cells from flat cell
-p*Wp + q on, every stride-th. dW's (F, C) slice is the sum over images,
-in image order, of the pitched g times those cells read in place: F x C
-GEMMs of depth span, to which junk columns add zero products. At stride
-1 BLAS reads both operands where they lie, which ``@`` allows and
-``np.dot`` (it copies them) does not. dx adds the kernel's (F, C) slice,
-transposed, times the pitched g into the same cells, taps in (p, q)
-order. With a finite kernel a junk column adds a signed zero; dx starts
-at +0.0, and a round-to-nearest sum is -0.0 only when both addends are,
-so dx never holds -0.0 and adding +-0.0 to it changes no bit.
+The backward needs no column matrix (kn2row, Vasudevan et al. 2017). It
+walks the batch in groups of images and, per group, loops over taps
+(p, q), reading and writing the input's cells from flat cell p*Wp + q
+on, every stride-th. dW's (F, C) slice is the sum over images, in image
+order, of the pitched g times those cells read in place: F x C GEMMs of
+depth span, to which junk columns add zero products. At stride 1 BLAS
+reads both operands where they lie, which ``@`` allows and ``np.dot``
+(it copies them) does not. dx adds the kernel's (F, C) slice,
+transposed, times the group's pitched g into the same cells, taps in
+(p, q) order. With a finite kernel a junk column adds a signed zero; dx
+starts at +0.0, and a round-to-nearest sum is -0.0 only when both
+addends are, so dx never holds -0.0 and adding +-0.0 to it changes no bit.
+
+A group is max(1, 4096 // span) images, the last one short, so its g,
+input cells and dx product, some 4096 columns each, stay in a core's L2
+across its kh*kw taps, where one pass over the whole batch streams them
+from memory once per tap (cache blocking as in Goto and van de Geijn,
+2008). Groups keep the bytes: every dW term is the same per-image GEMM,
+added in the same image order; a dx column is the same sum over F
+whichever columns share its GEMM; and each cell still takes its taps in
+(p, q) order. Where N*span fits the budget the group is the whole batch.
+A one-channel input is one group too: its dx product is a one-row GEMM,
+which numpy hands to GEMV, and OpenBLAS's GEMV changes kernels with the
+matrix's size, so splitting its columns moves bits (the pipeline never
+takes that dx: the image needs no grad). The budget is fixed because it
+changes only speed: on a 2 MiB-L2 core, budgets of 2048 to 6144 columns
+timed alike, and all of them keep the bytes.
 
 Where an image's span exceeds 512 columns, the forward copies and
 multiplies its columns in blocks of 512 from the image's first column
@@ -239,6 +255,7 @@ def _relu(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _COL_BLOCK = 512  # the forward's column blocks; fixed (see the module notes)
+_BWD_GROUP = 4096  # the backward's columns per image group; fixed (see the module notes)
 
 
 def _pitched(wide: np.ndarray, n: int, ho: int, wo: int, wp: int) -> np.ndarray:
@@ -267,10 +284,13 @@ def conv2d(
     forward multiplies the (F, C*kh*kw) kernel matrix by the
     (C*kh*kw, N*span) column matrix, in 512-column blocks per image where
     span > 512, and copies out the valid columns.
-    Backward lays g out at the same pitch and, per kernel tap, takes dW
-    from one GEMM per image against the padded input read in place and
-    adds that tap's kernel.T @ g into dx, which it skips (None) for an
-    input that needs no grad.
+    Backward lays g out at the same pitch and walks the batch in groups
+    of max(1, _BWD_GROUP // span) images (one group for a one-channel
+    input). Per group and kernel tap it adds one GEMM per image against
+    the padded input read in place into dW, and that tap's kernel.T @ g
+    over the group's columns into dx, which it skips (None) for an input
+    that needs no grad. Every sum keeps the one-group order, so the
+    bytes do not depend on the grouping.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -331,17 +351,23 @@ def conv2d(
         xf = xp.reshape(n, c, hp * wp)
         dw = np.empty((f, c, kh, kw), dtype=np.float32)
         dxp = np.zeros((c, n, hp * wp), dtype=np.float32) if x.requires_grad else None
-        for p in range(kh):
-            for q in range(kw):
-                o = p * wp + q
-                run = slice(o, o + stride * (span - 1) + 1, stride)
-                cols = xf[:, :, run]
-                acc = gn[:, 0] @ cols[0].T
-                for i in range(1, n):
-                    acc += gn[:, i] @ cols[i].T
-                dw[:, :, p, q] = acc
-                if dxp is not None:
-                    dxp[:, :, run] += (kernel.data[:, :, p, q].T @ gp).reshape(c, n, span)
+        group = n if c == 1 else max(1, _BWD_GROUP // span)
+        for a in range(0, n, group):
+            b = min(n, a + group)
+            ga = gp[:, a * span : b * span]
+            for p in range(kh):
+                for q in range(kw):
+                    o = p * wp + q
+                    run = slice(o, o + stride * (span - 1) + 1, stride)
+                    tap = dw[:, :, p, q]
+                    for i in range(a, b):
+                        term = gn[:, i] @ xf[i, :, run].T
+                        if i:
+                            tap += term
+                        else:
+                            tap[...] = term
+                    if dxp is not None:
+                        dxp[:, a:b, run] += (kernel.data[:, :, p, q].T @ ga).reshape(c, b - a, span)
         if dxp is None:
             return None, dw, db
         dx = dxp.reshape(c, n, hp, wp).transpose(1, 0, 2, 3)

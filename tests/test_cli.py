@@ -132,6 +132,18 @@ def test_augment_rejects_malformed_reference_line(workspace, tmp_path, capsys):
     assert "refs.txt:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("age", ["nan", "inf"])
+def test_augment_rejects_non_finite_reference_age(workspace, tmp_path, capsys, age):
+    root, ini = workspace
+    src = root / "out" / "phantoms" / "ph0000.pgm"
+    listing = tmp_path / "refs.txt"
+    listing.write_text(f"refA 132 female {src}\nrefB {age} male {src}\n")
+    out = tmp_path / "o"
+    assert main(["augment", "--refs", str(listing), *_args(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {listing}:2: age must be finite, got '{age}'\n"
+    assert not (out / "augmented").exists()
+
+
 # ---------------------------------------------------------------------------
 # training and inference commands
 # ---------------------------------------------------------------------------
@@ -206,6 +218,20 @@ def test_predict_verbose_dumps_intermediates(workspace):
     assert load_image(debug / "bone.pgm").width == 720
     prepared = load_image(debug / "prepared.pgm")
     assert (prepared.width, prepared.height) == (720, 960)
+
+
+def test_predict_rejects_two_images_with_the_same_stem(workspace, tmp_path, capsys):
+    # predictions.csv ids and debug_<id>/ dumps are file stems
+    root, ini = workspace
+    first = root / "out" / "phantoms" / "ph0000.pgm"
+    second = tmp_path / "other" / "ph0000.pgm"
+    second.parent.mkdir()
+    second.write_bytes(first.read_bytes())
+    out = tmp_path / "o"
+    argv = ["predict", "--verbose", str(first), str(second), *_args(ini), "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {first} and {second} share the id 'ph0000'\n"
+    assert not out.exists()
 
 
 def test_predict_without_checkpoints_fails_with_stage(workspace, tmp_path, capsys):

@@ -566,6 +566,28 @@ def test_pipeline_convs_are_byte_identical_to_the_oracles(monkeypatch, net, n):
             assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes(), layer
 
 
+@pytest.mark.parametrize("group", [1, 2, 3, 5])
+def test_conv2d_backward_image_groups_keep_the_one_group_bytes(monkeypatch, group):
+    # seven images in groups of `group`, the last one short where 7 % group
+    n, c, h, w, f = 7, 3, 10, 9, 4
+    span = (h - 1) * (w + 2) + w  # 3x3 kernel, padding 1
+    rng = np.random.default_rng(960 + group)
+    x = np.maximum(rng.standard_normal((n, c, h, w)), 0.0).astype(np.float32)
+    kern = rng.standard_normal((f, c, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(f).astype(np.float32)
+    g = rng.standard_normal((n, f, h, w)).astype(np.float32)
+    g[rng.random(g.shape) < 0.2] = -0.0
+
+    def grads(budget):
+        monkeypatch.setattr(T, "_BWD_GROUP", budget)
+        with T.Tape() as tape:
+            T.conv2d(T.Tensor(x, requires_grad=True), T.Tensor(kern), T.Tensor(b), padding=1, relu=True)
+        return tape._entries[-1].backward_fn(g)
+
+    for got, want in zip(grads(group * span + span - 1), grads(n * span)):
+        assert got.tobytes() == want.tobytes()
+
+
 # traced allocation peak of one default U-Net forward at N = 1. With the
 # forward's columns in 512-column blocks it reads 2.2 MB (numpy 2.4);
 # building dec0.conv1's whole 216 x 6,270 column matrix (5.4 MB) at once
@@ -589,9 +611,10 @@ def test_unet_forward_traced_peak_stays_under_bound():
 
 
 # traced allocation peak of one default U-Net training step (forward, MSE,
-# backward) at N = 4. With dx added tap by tap it reads 29.5 MB (numpy
-# 2.4); building the whole (C*kh*kw, N*span) column gradient first read
-# 48.0 MB. The bound leaves 6.5 MB of margin and fails the column
+# backward) at N = 4. With the backward's taps run per image group it
+# reads 27.7 MB (numpy 2.4; 29.5 MB with one group of the whole batch);
+# building the whole (C*kh*kw, N*span) column gradient first read
+# 48.0 MB. The bound leaves 8.3 MB of margin and fails the column
 # gradient by 12 MB.
 _UNET_STEP_PEAK_BOUND_MB = 36.0
 
