@@ -4,8 +4,9 @@ The reference atlas is a fixed table of twelve (sex, age) classes: six
 ages per sex at twelve-month steps (120..180 months). The model is one
 conv trunk with two heads sharing its feature vector: a 12-way softmax
 that scores the crop's similarity to each atlas class, and a regression
-head that emits a continuous age. The regressed age is the estimate;
-the class scores carry the similarity ranking and the nearest class.
+head that emits a continuous age. Both heads train; the estimate is the
+expectation of the class ages under the softmax, which also gives the
+similarity ranking and the nearest class.
 """
 
 from __future__ import annotations
@@ -137,20 +138,19 @@ def age_forward(model: nn.Model, x: Tensor) -> Tuple[Tensor, Tensor]:
 def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> AgeEstimate:
     """Estimate a continuous age in months for a joint crop.
 
-    The regression head's output (in units of 180 months) is clamped
-    to one atlas step beyond the atlas range; the similarity scores
-    and nearest class come from the classification head.
+    The age is the expectation of the atlas ages under the class head's
+    softmax, sum_i p_i * age_i (DEX's deep expectation), so it lies in
+    the atlas range; the scores and the nearest class come from the same
+    head. The regression head trains alongside but is not read here.
     """
-    logits, age_norm = age_forward(model, Tensor(nn.planes([crop], model.config)))
+    logits, _ = age_forward(model, Tensor(nn.planes([crop], model.config)))
     z = logits.data[0].astype(np.float64)
     z -= z.max()
     e = np.exp(z)
     scores = e / e.sum()
-    raw_months = float(age_norm.data[0, 0]) * AGE_NORM
-    lo = atlas.min_age - atlas.age_step
-    hi = atlas.max_age + atlas.age_step
+    ages = np.array([age for _, age in atlas.classes])
     return AgeEstimate(
-        age_months=float(np.clip(raw_months, lo, hi)),
+        age_months=float(scores @ ages),
         class_scores=scores,
         nearest_class=int(np.argmax(scores)),
     )

@@ -135,16 +135,20 @@ def test_similarity_is_a_distribution(seed):
     assert abs(scores.sum() - 1.0) <= 1e-6
 
 
-def test_estimate_age_clamps_to_one_step_past_the_atlas():
+def test_estimate_age_is_the_class_expectation_and_ignores_the_regression_head():
     atlas = ReferenceAtlas()
     model = build_age_model(TINY, seed=1)
-    # force the regression head to an absurd output
+    crop = _crop(2, (32, 32))
+    est = estimate_age(model, crop, atlas)
+    ages = [age for _, age in atlas.classes]
+    assert est.age_months == pytest.approx(sum(p * a for p, a in zip(est.class_scores, ages)))
+    # an absurd regression output does not move the estimate
     model.params["head_reg.b"].data[:] = 100.0
-    est = estimate_age(model, _crop(2, (32, 32)), atlas)
-    assert est.age_months == atlas.max_age + 12.0
-    model.params["head_reg.b"].data[:] = -100.0
-    est = estimate_age(model, _crop(2, (32, 32)), atlas)
-    assert est.age_months == atlas.min_age - 12.0
+    assert estimate_age(model, crop, atlas).age_months == est.age_months
+    # a class head sure of one class reads that class's age
+    model.params["head_class.b"].data[:] = 0.0
+    model.params["head_class.b"].data[8] = 100.0
+    assert estimate_age(model, crop, atlas).age_months == pytest.approx(ages[8])
 
 
 def test_estimate_age_nearest_class_tracks_scores():
@@ -153,7 +157,7 @@ def test_estimate_age_nearest_class_tracks_scores():
     est = estimate_age(model, _crop(3, (32, 32)), atlas)
     assert est.nearest_class == int(np.argmax(est.class_scores))
     assert abs(est.class_scores.sum() - 1.0) <= 1e-6
-    assert atlas.min_age - 12.0 <= est.age_months <= atlas.max_age + 12.0
+    assert atlas.min_age <= est.age_months <= atlas.max_age
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +197,10 @@ def test_train_is_deterministic():
     assert runs[0][1] == runs[1][1]
 
 
-def test_single_sample_overfit_recovers_the_age():
+def test_single_sample_overfit_recovers_its_class_age():
     atlas = ReferenceAtlas()
     crop = _crop(8, (32, 32))
-    truth = 150.0
+    truth = 156.0  # a class age: the expectation of a sure head is that age
     model = build_age_model(TINY, seed=4)
     model, history = train_age(
         model,
