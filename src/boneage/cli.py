@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import sys
 from dataclasses import replace
@@ -19,6 +20,7 @@ from typing import List, Optional
 from . import pipeline as pl
 from .age_estimation import default_atlas_classes
 from .augmentation import LabeledImage, augment_dataset
+from .checkpoint import write_atomic
 from .config import PipelineConfig, load_config, rebase_out
 from .errors import BoneAgeError, ContractError
 from .imaging import load_image, save_image
@@ -244,6 +246,9 @@ def _cmd_roi(args, config: PipelineConfig) -> int:
 
 
 def _cmd_predict(args, config: PipelineConfig) -> int:
+    # a failed call leaves no predictions.csv, not an earlier call's
+    pred_csv = config.out_dir / "predictions.csv"
+    pred_csv.unlink(missing_ok=True)
     # an image's file stem is its predictions.csv id and names its debug_<id>/
     paths = {}
     for image_path in args.images:
@@ -259,11 +264,11 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
         record = pipe.predict_path(image_path, dump_dir=dump)
         print(record.format_line())
         rows.append((stem, record.age_months))
-    pred_csv = config.out_dir / "predictions.csv"
-    with pred_csv.open("w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "months"])
-        writer.writerows(rows)
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["id", "months"])
+    writer.writerows(rows)
+    write_atomic(pred_csv, text.getvalue().encode("ascii"))
     return 0
 
 

@@ -5,23 +5,28 @@ File formats: binary PGM (P5, maxval 255) both ways, 8-bit PNG read-only
 (RGB collapsed with luminance weights 0.299/0.587/0.114).
 
 Lazy images. ``resize_bilinear``, a quarter-turn ``rotate`` and ``crop``
-return a lazy image: it holds its source, per-axis taps and its size,
-not pixels. Asking a lazy image for a sub-grid of rows and columns asks
-its source only for the rows and columns those taps read, recursively,
-so a chain such as resize -> quarter turn -> resize -> crop -> resize
-computes only the pixels its last consumer reads. Reading ``.pixels``
-evaluates the full grid once and caches it. Images are values: do not
-mutate ``.pixels`` in place, since a lazy image derived from an image
-reads that image's pixels when it is evaluated, a lazy image caches
-what it computed, and a resize to an image's own size returns its input
-rather than a copy.
+return a lazy image: it holds the eager array its chain started from
+(its source), one map (s, t, flip) per axis and a swap flag, not
+pixels. Output index k along an axis of extent n samples the source
+coordinate (k + 0.5) * s + t, or that of index n - 1 - k if the axis
+is flipped, clamped to the source's extent; with the swap flag the
+output's rows run along the source's columns. A resize scales s, a crop
+shifts t, and a quarter turn swaps the axes and flips one or both, so a
+chain of any length composes to one map per axis, and reading
+``.pixels`` is one bilinear sample of the source (cached). A single
+resize of an eager image uses t = -0.5 and s = n_in / n_out, the
+half-pixel-center resize. The blend runs in the source's orientation
+and is then transposed and reversed, so a quarter turn moves pixels
+without changing them, and crops and quarter turns of an eager image
+are exact pixel permutations. Images are values: do not mutate
+``.pixels`` in place, since a lazy image reads its source when it is
+evaluated, and a resize to an image's own size returns its input rather
+than a copy.
 
 The bilinear blend (``_blend``) gives every output pixel the same
 float32 operations in the same order as a direct 2-D gather (x-blend of
-both tapped rows, y-blend, clip to [0, 1]), whatever sub-grid it is
-evaluated on, so a lazy chain is byte-identical to the eager chain of
-full frames; ``tests/test_imaging.py`` holds both to their oracles byte
-for byte.
+both tapped rows, y-blend, clip to [0, 1]); ``tests/test_imaging.py``
+holds resizes and composed chains to such gathers byte for byte.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ from .errors import ContractError, ImageIOError
 _RGB_WEIGHTS = np.array([0.299, 0.587, 0.114], dtype=np.float32)
 
 
+# the map (s, t, flip) of an eager image's own pixels: index k reads source k
+_IDENTITY = (1.0, -0.5, False)
+
+
 class GrayImage:
     """Single-channel image, pixels row-major in [0, 1]; eager or lazy."""
 
@@ -45,30 +54,28 @@ class GrayImage:
             raise ContractError(f"GrayImage needs a 2-d array, got {a.ndim}-d")
         if a.size == 0:
             raise ContractError("GrayImage must have at least one pixel")
-        self._pixels = a
-        self._plan = None
+        self._pixels = self._source = a
+        self._maps, self._swap = (_IDENTITY, _IDENTITY), False
         self.height, self.width = a.shape
 
     @classmethod
-    def _lazy(cls, source: "GrayImage", ytaps, xtaps, swap: bool = False) -> "GrayImage":
-        """An image of ``source`` through per-axis taps, not yet evaluated.
-
-        A tap set is ``(index,)``, one source index per output index
-        (crops and quarter turns), or ``(i0, i1, weight of i1)`` (bilinear
-        resampling). With ``swap`` the output's rows run along the
-        source's columns: ``ytaps`` index source columns, ``xtaps`` rows.
-        """
-        img = cls.__new__(cls)
-        img._pixels = None
-        img._plan = (source, ytaps, xtaps, swap)
-        img.height, img.width = len(ytaps[0]), len(xtaps[0])
-        return img
+    def _lazy(cls, img: "GrayImage", ymap, xmap, swap: bool, height: int, width: int):
+        """``img``'s source through the per-axis maps, not yet evaluated."""
+        out = cls.__new__(cls)
+        out._pixels, out._source = None, img._source
+        out._maps, out._swap = (ymap, xmap), swap
+        out.height, out.width = height, width
+        return out
 
     @property
     def pixels(self) -> np.ndarray:
         if self._pixels is None:
-            self._pixels = _region(self, np.arange(self.height), np.arange(self.width))
-            self._plan = None  # the source chain is no longer needed
+            (ymap, xmap), h, w = self._maps, self.height, self.width
+            if self._swap:  # blend in the source's orientation, then transpose
+                ymap, xmap, h, w = xmap, ymap, w, h
+            src_h, src_w = self._source.shape
+            px = _blend(self._source, *_map_taps(ymap, h, src_h), *_map_taps(xmap, w, src_w))
+            self._pixels = np.ascontiguousarray(px.T) if self._swap else px
         return self._pixels
 
     @classmethod
@@ -190,23 +197,21 @@ def _bilinear_sample(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     return top * (1.0 - fy) + bot * fy
 
 
-def _axis_taps(n_in: int, n_out: int):
+def _map_taps(axis_map, n_out: int, n_src: int):
     """Per output index along one axis: source taps i0, i1 and weight of i1."""
-    # half-pixel centers so that same-size resize is the identity
-    c = (np.arange(n_out, dtype=np.float32) + 0.5) * (n_in / n_out) - 0.5
-    c = np.clip(c, 0.0, n_in - 1.0)
+    s, t, flip = axis_map
+    # Python floats keep the coordinates float32
+    c = (np.arange(n_out, dtype=np.float32) + 0.5) * float(s) + float(t)
+    c = np.clip(c, 0.0, n_src - 1.0)
     i0 = np.floor(c).astype(np.intp)
-    i1 = np.minimum(i0 + 1, n_in - 1)
-    return i0, i1, (c - i0).astype(np.float32)
+    i1 = np.minimum(i0 + 1, n_src - 1)
+    taps = (i0, i1, (c - i0).astype(np.float32))
+    return tuple(a[::-1] for a in taps) if flip else taps
 
 
 def _blend(px, y0, y1, fy, x0, x1, fx) -> np.ndarray:
-    """Bilinear blend of ``px`` at per-axis taps into ``px``'s own rows and
-    columns: x-blend of the rows, pick both tapped rows, y-blend, clip.
-
-    ``_region`` hands in only the rows and columns the taps read, so no
-    row is x-blended in vain.
-    """
+    """Bilinear blend of ``px`` at per-axis taps: x-blend of the rows,
+    pick both tapped rows, y-blend, clip."""
     gx = 1.0 - fx
     rows = np.take(px, x0, axis=1)
     rows *= gx
@@ -222,35 +227,10 @@ def _blend(px, y0, y1, fy, x0, x1, fx) -> np.ndarray:
     return top
 
 
-def _unique_taps(taps: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(taps, return_inverse=True)`` for indices into
-    ``range(extent)``, by a presence mask instead of a sort."""
-    seen = np.zeros(extent, dtype=bool)
-    seen[taps] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[taps]
-
-
-def _region(img: GrayImage, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``img.pixels[np.ix_(rows, cols)]``, evaluating only those pixels.
-
-    A resampled image fetches from its source the sub-grid of the rows
-    and columns its taps read (``_unique_taps``), and blends it with the
-    taps renumbered into that sub-grid.
-    """
-    if img._pixels is not None:
-        return img._pixels[np.ix_(rows, cols)]
-    source, ytaps, xtaps, swap = img._plan
-    if len(ytaps) == 1:  # index selection: a crop or a quarter turn
-        if swap:
-            return np.ascontiguousarray(_region(source, xtaps[0][cols], ytaps[0][rows]).T)
-        return _region(source, ytaps[0][rows], xtaps[0][cols])
-    y0, y1, fy = (t[rows] for t in ytaps)
-    x0, x1, fx = (t[cols] for t in xtaps)
-    src_rows, yi = _unique_taps(np.concatenate([y0, y1]), source.height)
-    src_cols, xi = _unique_taps(np.concatenate([x0, x1]), source.width)
-    n, m = len(rows), len(cols)
-    sub = _region(source, src_rows, src_cols)
-    return _blend(sub, yi[:n], yi[n:], fy, xi[:m], xi[m:], fx)
+def _cropped(axis_map, lo: int, hi: int, n: int):
+    """The map of indices [lo, hi) of an axis of extent ``n``."""
+    s, t, flip = axis_map
+    return s, t + (n - hi if flip else lo) * s, flip
 
 
 def resize_bilinear(img: GrayImage, new_width: int, new_height: int) -> GrayImage:
@@ -260,8 +240,10 @@ def resize_bilinear(img: GrayImage, new_width: int, new_height: int) -> GrayImag
         raise ContractError(f"target extents must be >= 1, got {new_width}x{new_height}")
     if (new_width, new_height) == (img.width, img.height):
         return img
+    (sy, ty, fy), (sx, tx, fx) = img._maps
     return GrayImage._lazy(
-        img, _axis_taps(img.height, new_height), _axis_taps(img.width, new_width)
+        img, (sy * (img.height / new_height), ty, fy), (sx * (img.width / new_width), tx, fx),
+        img._swap, new_height, new_width,
     )
 
 
@@ -271,27 +253,30 @@ def crop(img: GrayImage, x0: int, y0: int, x1: int, y1: int) -> GrayImage:
         raise ContractError(
             f"crop [{x0}, {x1}) x [{y0}, {y1}) not inside a {img.width}x{img.height} image"
         )
-    return GrayImage._lazy(img, (np.arange(y0, y1),), (np.arange(x0, x1),))
+    ymap, xmap = img._maps
+    return GrayImage._lazy(
+        img, _cropped(ymap, y0, y1, img.height), _cropped(xmap, x0, x1, img.width),
+        img._swap, y1 - y0, x1 - x0,
+    )
 
 
 def rotate(img: GrayImage, degrees: float) -> GrayImage:
     """Rotate about the image center; out-of-frame samples are 0.
 
-    Multiples of 90 degrees are exact, lazy index permutations (no
-    resampling; +90 maps the old top-right corner to the new top-left, as
-    ``np.rot90`` does); other angles use bilinear sampling.
+    Multiples of 90 degrees compose into the lazy image's maps, so they
+    add no resampling (on an eager image they are exact pixel
+    permutations; +90 maps the old top-right corner to the new top-left,
+    as ``np.rot90`` does); other angles use bilinear sampling.
     """
     degrees = float(degrees)
     if degrees % 90.0 == 0.0:
         turns = int(degrees // 90) % 4
-        rows, cols = np.arange(img.height), np.arange(img.width)
-        if turns in (1, 2):
-            cols = cols[::-1]
-        if turns in (2, 3):
-            rows = rows[::-1]
-        if turns % 2:  # output row i reads source column cols[i]
-            return GrayImage._lazy(img, (cols,), (rows,), swap=True)
-        return GrayImage._lazy(img, (rows,), (cols,))
+        (sy, ty, fy), (sx, tx, fx) = img._maps
+        # turns 1 and 2 read the columns back to front, turns 2 and 3 the rows
+        ymap, xmap = (sy, ty, fy != (turns in (2, 3))), (sx, tx, fx != (turns in (1, 2)))
+        if turns % 2:  # output rows run along the input's columns
+            return GrayImage._lazy(img, xmap, ymap, not img._swap, img.width, img.height)
+        return GrayImage._lazy(img, ymap, xmap, img._swap, img.height, img.width)
     h, w = img.pixels.shape
     theta = math.radians(degrees)
     c, s = math.cos(theta), math.sin(theta)

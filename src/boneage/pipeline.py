@@ -2,16 +2,17 @@
 
 The prediction path runs load -> segment (720x480 bone image) ->
 prepare (720x960) -> localize -> crop -> estimate age. The 720-scale
-images are lazy (see ``imaging``): a prediction computes only the pixels
-the localizer input and the crop read, and the full frames are built
-only where they are written out (``dump_dir``). The
-localization stage is teacher-forced: exact phantom masks and boxes
-are pushed through the same geometric chain the predictor uses. The
-age stage instead crops from the *trained segmenter's* bone output
-(with the true boxes lightly perturbed), because its regression is
-sensitive to the faint background halo a learned mask leaves around
-the bone — ground-truth crops would train it on pixels it never sees
-at prediction time.
+images are lazy (see ``imaging``): their resizes, quarter turn and crop
+compose into one map per axis over the segmenter's net-size bone image,
+so the localizer input and the crop are each one bilinear sample of
+it, and the full frames are built only where they are written out
+(``dump_dir``). The localization stage is teacher-forced: exact
+phantom masks and boxes are pushed through the same geometric chain
+the predictor uses. The age stage instead crops from the *trained
+segmenter's* bone output (with the true boxes lightly perturbed),
+because the age network is sensitive to the faint background halo a
+learned mask leaves around the bone — ground-truth crops would train
+it on pixels it never sees at prediction time.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ def roi_data(
     """(net-size image, net-scale box, is_true) for the localization trainer.
 
     Each phantom's ground-truth bone image runs through the real
-    geometric chain (720x480 -> rotate -> 720x960 -> net size), and its
-    box is carried through the same transforms.
+    geometric chain (720x480 -> rotate -> 720x960 -> net size, one
+    sample of the bone image), and its box is carried through the same
+    transforms.
     """
     net_w, net_h = net_size
     out = []
@@ -179,7 +181,7 @@ def age_data_deployed(
     """Age-training triples cropped from the trained segmenter's output.
 
     Every other sample uses a perturbed box instead of the true one, so
-    the regressor also tolerates localization error.
+    the age network also tolerates localization error.
     """
     rng = np.random.default_rng(seed)
     out = []

@@ -483,6 +483,14 @@ def resize_bilinear_gather_ref(px, out_w, out_h):
         return px.copy()
     xs = (np.arange(out_w, dtype=np.float32) + 0.5) * (w / out_w) - 0.5
     ys = (np.arange(out_h, dtype=np.float32) + 0.5) * (h / out_h) - 0.5
+    return _gather_ref(px, ys, xs)
+
+
+def _gather_ref(px, ys, xs):
+    """Bilinear float32 2-D gather of ``px`` at the grid of row
+    coordinates ``ys`` and column coordinates ``xs``, clamped to its edges."""
+    h, w = px.shape
+    out_h, out_w = len(ys), len(xs)
     xs = np.clip(np.broadcast_to(xs, (out_h, out_w)), 0.0, w - 1.0)
     ys = np.clip(np.broadcast_to(ys[:, None], (out_h, out_w)), 0.0, h - 1.0)
     x0 = np.floor(xs).astype(np.intp)
@@ -496,25 +504,111 @@ def resize_bilinear_gather_ref(px, out_w, out_h):
     return np.clip(top * (1.0 - fy) + bot * fy, 0.0, 1.0)
 
 
-def eager_frames_ref(small_bone, raw_wh, prepared_wh):
-    """The eager prediction frames: (720x480 bone, 720x960 prepared).
+def chain_maps_ref(shape, steps):
+    """The per-axis maps of a resize/turn/crop chain on a (h, w) array.
 
-    Full float32 frames built the way the pipeline built them before its
-    images were lazy: resize, ``np.rot90``, resize, each through the
-    byte-exact gather oracle.
+    A step is ("resize", w, h), ("turn", k) with ``np.rot90``'s k, or
+    ("crop", x0, y0, x1, y1). Returns (row map, column map, output
+    shape). A map is [source axis, s, t, flip]: output index k along an
+    axis of extent n reads source coordinate (k + 0.5) * s + t, or that
+    of index n - 1 - k when flipped. Each step is composed with the same
+    float64 operations as the package's lazy images.
     """
-    bone = resize_bilinear_gather_ref(small_bone, *raw_wh)
-    turned = np.ascontiguousarray(np.rot90(bone))
-    return bone, resize_bilinear_gather_ref(turned, *prepared_wh)
+    h, w = shape
+    ym, xm = [0, 1.0, -0.5, False], [1, 1.0, -0.5, False]
+
+    def flip(m):
+        return [m[0], m[1], m[2], not m[3]]
+
+    def cropped(m, lo, hi, n):
+        return [m[0], m[1], m[2] + (n - hi if m[3] else lo) * m[1], m[3]]
+
+    for step in steps:
+        if step[0] == "resize":
+            _, nw, nh = step
+            ym = [ym[0], ym[1] * (h / nh), ym[2], ym[3]]
+            xm = [xm[0], xm[1] * (w / nw), xm[2], xm[3]]
+            h, w = nh, nw
+        elif step[0] == "crop":
+            _, x0, y0, x1, y1 = step
+            ym, xm = cropped(ym, y0, y1, h), cropped(xm, x0, x1, w)
+            h, w = y1 - y0, x1 - x0
+        else:
+            k = step[1] % 4
+            if k == 1:
+                ym, xm, h, w = flip(xm), ym, w, h
+            elif k == 2:
+                ym, xm = flip(ym), flip(xm)
+            elif k == 3:
+                ym, xm, h, w = xm, flip(ym), w, h
+    return ym, xm, (h, w)
 
 
-def crop_resize_ref(px, box, out_w, out_h):
-    """A box cut out of a full frame by slicing, then resized (gather oracle)."""
-    x, y, w, h = box
-    x0, y0 = max(0, math.floor(x)), max(0, math.floor(y))
-    x1 = min(px.shape[1], max(x0 + 1, math.ceil(x + w)))
-    y1 = min(px.shape[0], max(y0 + 1, math.ceil(y + h)))
-    return resize_bilinear_gather_ref(np.ascontiguousarray(px[y0:y1, x0:x1]), out_w, out_h)
+def chain_gather_ref(px, steps):
+    """A resize/turn/crop chain as one float32 2-D gather of ``px`` at the
+    composed coordinates: the byte-exact oracle of a lazy image.
+
+    Like ``resize_bilinear_gather_ref`` it keeps float32 and the exact
+    operation order (x-blend of both tapped rows, y-blend, clip), in the
+    source's orientation; the result is then reversed and transposed.
+    """
+    px = np.asarray(px, dtype=np.float32)
+    ym, xm, out_shape = chain_maps_ref(px.shape, steps)
+    swap = ym[0] == 1  # the output's rows run along the source's columns
+    if swap:
+        ym, xm = xm, ym
+    out_h, out_w = out_shape[::-1] if swap else out_shape
+    ys = (np.arange(out_h, dtype=np.float32) + 0.5) * ym[1] + ym[2]
+    xs = (np.arange(out_w, dtype=np.float32) + 0.5) * xm[1] + xm[2]
+    out = _gather_ref(px, ys, xs)[::-1 if ym[3] else 1, ::-1 if xm[3] else 1]
+    return np.ascontiguousarray(out.T if swap else out)
+
+
+def chain_sample_ref(px, steps):
+    """A resize/turn/crop chain (steps as in ``chain_maps_ref``), loops only.
+
+    Each output pixel center is walked back through the steps in float64
+    (a resize by its half-pixel-center map, a crop by its offset, a
+    quarter turn by index reversal) and sampled bilinearly from ``px``,
+    clamped at ``px``'s edges and at no intermediate's.
+    """
+    px = np.asarray(px, dtype=np.float64)
+    shapes = [px.shape]
+    for step in steps:
+        h, w = shapes[-1]
+        if step[0] == "resize":
+            shapes.append((step[2], step[1]))
+        elif step[0] == "crop":
+            shapes.append((step[4] - step[2], step[3] - step[1]))
+        else:
+            shapes.append((w, h) if step[1] % 2 else (h, w))
+    src_h, src_w = px.shape
+    out_h, out_w = shapes[-1]
+    out = np.zeros((out_h, out_w), dtype=np.float64)
+    for i in range(out_h):
+        for j in range(out_w):
+            y, x = float(i), float(j)
+            for n in reversed(range(len(steps))):
+                step, (h, w), (nh, nw) = steps[n], shapes[n], shapes[n + 1]
+                if step[0] == "resize":
+                    y = (y + 0.5) * h / nh - 0.5
+                    x = (x + 0.5) * w / nw - 0.5
+                elif step[0] == "crop":
+                    y, x = y + step[2], x + step[1]
+                else:
+                    # undo one +90 turn at a time: out[i, j] = in[j, in_w - 1 - i]
+                    for t in range(step[1] % 4, 0, -1):
+                        in_w = w if t % 2 else h
+                        y, x = x, in_w - 1 - y
+            y = min(max(y, 0.0), src_h - 1.0)
+            x = min(max(x, 0.0), src_w - 1.0)
+            y0, x0 = math.floor(y), math.floor(x)
+            y1, x1 = min(y0 + 1, src_h - 1), min(x0 + 1, src_w - 1)
+            fy, fx = y - y0, x - x0
+            top = px[y0, x0] * (1 - fx) + px[y0, x1] * fx
+            bot = px[y1, x0] * (1 - fx) + px[y1, x1] * fx
+            out[i, j] = top * (1 - fy) + bot * fy
+    return out
 
 
 def rot90_ref(px):

@@ -234,6 +234,28 @@ def test_predict_rejects_two_images_with_the_same_stem(workspace, tmp_path, caps
     assert not out.exists()
 
 
+def test_failed_predict_leaves_no_predictions_csv(workspace, tmp_path, capsys):
+    root, ini = workspace
+    out = tmp_path / "o"
+    out.mkdir()
+    for name in ("seg.ckpt", "roi.ckpt", "age.ckpt"):
+        (out / name).write_bytes((root / "out" / name).read_bytes())
+    phantoms = root / "out" / "phantoms"
+    argv = [*_args(ini), "--out", str(out)]
+    assert main(["predict", str(phantoms / "ph0000.pgm"), str(phantoms / "ph0001.pgm"), *argv]) == 0
+    rows = (out / "predictions.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == ["id", "ph0000", "ph0001"]
+    capsys.readouterr()
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n2 2\n255\n")
+    assert main(["predict", str(phantoms / "ph0002.pgm"), str(bad), *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"{phantoms / 'ph0002.pgm'} ")
+    assert captured.err == f"error: load: {bad}: PGM pixel data truncated (0 of 4 bytes)\n"
+    assert not (out / "predictions.csv").exists()
+    assert [p.name for p in out.iterdir() if p.suffix != ".ckpt"] == []
+
+
 def test_predict_without_checkpoints_fails_with_stage(workspace, tmp_path, capsys):
     _, ini = workspace
     img = tmp_path / "x.pgm"

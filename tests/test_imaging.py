@@ -6,7 +6,6 @@ import pytest
 from boneage.errors import ContractError, ImageIOError
 from boneage.imaging import (
     GrayImage,
-    _unique_taps,
     crop,
     flip_horizontal,
     load_image,
@@ -17,6 +16,8 @@ from boneage.imaging import (
 )
 
 from reference import (
+    chain_gather_ref,
+    chain_sample_ref,
     flip_h_ref,
     resize_bilinear_gather_ref,
     resize_bilinear_ref,
@@ -310,7 +311,7 @@ def test_rotate_preserves_unit_interval():
 
 
 # ---------------------------------------------------------------------------
-# lazy images: crop, quarter turns and chains
+# lazy images: crop, quarter turns and composed chains
 # ---------------------------------------------------------------------------
 
 
@@ -342,43 +343,57 @@ def test_quarter_turns_of_lazy_images_match_rot90(degrees):
         assert rotate(img, degrees).pixels.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_lazy_chain_is_byte_identical_to_the_eager_chain(seed):
-    rng = np.random.default_rng(700 + seed)
+def _random_chain(rng, kinds=("resize", "turn", "crop"), length=4):
+    """A random eager image, a chain of ``length`` steps (as the reference
+    oracles spell them) and the lazy image the package builds from it."""
     h, w = int(rng.integers(1, 30)), int(rng.integers(1, 30))
     img = lazy = _random_image(rng, h, w)
-    px = img.pixels
-    for step in range(4):
-        kind = ("resize", "rotate", "crop")[int(rng.integers(0, 3))]
+    steps = []
+    for _ in range(length):
+        kind = kinds[int(rng.integers(0, len(kinds)))]
         if kind == "resize":
             out_w, out_h = int(rng.integers(1, 60)), int(rng.integers(1, 60))
+            steps.append(("resize", out_w, out_h))
             lazy = resize_bilinear(lazy, out_w, out_h)
-            px = resize_bilinear_gather_ref(px, out_w, out_h)
-        elif kind == "rotate":
+        elif kind == "turn":
             k = int(rng.integers(-3, 4))
-            lazy, px = rotate(lazy, 90.0 * k), np.ascontiguousarray(np.rot90(px, k=k % 4))
+            steps.append(("turn", k % 4))
+            lazy = rotate(lazy, 90.0 * k)
         else:
-            h, w = px.shape
+            h, w = lazy.height, lazy.width
             y0, x0 = int(rng.integers(0, h)), int(rng.integers(0, w))
             y1, x1 = int(rng.integers(y0 + 1, h + 1)), int(rng.integers(x0 + 1, w + 1))
-            lazy, px = crop(lazy, x0, y0, x1, y1), px[y0:y1, x0:x1]
-        assert (lazy.height, lazy.width) == px.shape
+            steps.append(("crop", x0, y0, x1, y1))
+            lazy = crop(lazy, x0, y0, x1, y1)
+    return img, steps, lazy
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_composed_chain_is_one_gather_of_the_source(seed):
+    img, steps, lazy = _random_chain(np.random.default_rng(700 + seed))
+    want = chain_gather_ref(img.pixels, steps)
+    assert (lazy.height, lazy.width) == want.shape
     assert lazy.pixels.dtype == np.float32
-    assert lazy.pixels.tobytes() == np.ascontiguousarray(px).tobytes()
+    assert lazy.pixels.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_composed_chain_matches_the_loop_oracle(seed):
+    img, steps, lazy = _random_chain(np.random.default_rng(700 + seed))
+    np.testing.assert_allclose(lazy.pixels, chain_sample_ref(img.pixels, steps), atol=1e-5)
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_unique_taps_is_np_unique_with_inverse(seed):
-    rng = np.random.default_rng(900 + seed)
-    extent = int(rng.integers(1, 40))
-    taps = rng.integers(0, extent, size=int(rng.integers(1, 60)))
-    taps[: min(4, taps.size)] = [0, extent - 1, 0, extent - 1][: min(4, taps.size)]
-    rng.shuffle(taps)
-    got_values, got_inverse = _unique_taps(taps, extent)
-    want_values, want_inverse = np.unique(taps, return_inverse=True)
-    assert got_values.tolist() == want_values.tolist()
-    assert got_inverse.tolist() == want_inverse.tolist()
-    assert got_values[got_inverse].tolist() == taps.tolist()
+def test_crop_and_turn_chains_are_exact_permutations(seed):
+    img, steps, lazy = _random_chain(np.random.default_rng(900 + seed), ("turn", "crop"), 6)
+    px = img.pixels
+    for step in steps:
+        if step[0] == "turn":
+            px = np.rot90(px, k=step[1])
+        else:
+            _, x0, y0, x1, y1 = step
+            px = px[y0:y1, x0:x1]
+    assert lazy.pixels.tobytes() == np.ascontiguousarray(px).tobytes()
 
 
 def test_lazy_image_evaluates_once_and_leaves_its_source_alone():

@@ -1,5 +1,7 @@
 """Box algebra, input standardization, and the localization network."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from boneage.roi import (
 )
 from boneage.tensor import Tensor
 
-from reference import crop_resize_ref, eager_frames_ref, iou_grid_ref, resize_bilinear_gather_ref
+from reference import chain_gather_ref, chain_sample_ref, iou_grid_ref, resize_bilinear_gather_ref
 
 SMALL = RpnConfig(backbone_channels=(4, 8, 8), input_size=(48, 64), hidden=32)
 ONE_EPOCH = TrainSettings(epochs=1, learning_rate=2e-3, batch_size=8)
@@ -193,7 +195,7 @@ def test_crop_rejects_out_of_frame_boxes():
 
 
 # ---------------------------------------------------------------------------
-# the lazy frame chain against full eager frames
+# the prediction frames as one sample of the net-size bone image
 # ---------------------------------------------------------------------------
 
 # full frame, boxes on the right and bottom edges, 1-pixel boxes, interior
@@ -207,6 +209,11 @@ CHAIN_BOXES = [
     (300.5, 400.25, 1.0, 1.0),
     (719.5, 10.0, 0.5, 3.0),
     (123.4, 567.8, 210.9, 97.1),
+]
+
+# segment()'s resize to the working frame, then prepare_roi_input()
+PREPARE_STEPS = [
+    ("resize", RAW_WIDTH, RAW_HEIGHT), ("turn", 1), ("resize", PREPARED_WIDTH, PREPARED_HEIGHT)
 ]
 
 
@@ -223,23 +230,34 @@ def _lazy_prepared(small):
     return bone, prepare_roi_input(bone)
 
 
+def _crop_steps(box, out_w, out_h):
+    """crop_roi's pixel rectangle of ``box`` on the prepared frame, then its resize."""
+    x, y, w, h = box
+    x0, y0 = max(0, math.floor(x)), max(0, math.floor(y))
+    x1 = min(PREPARED_WIDTH, max(x0 + 1, math.ceil(x + w)))
+    y1 = min(PREPARED_HEIGHT, max(y0 + 1, math.ceil(y + h)))
+    return [("crop", x0, y0, x1, y1), ("resize", out_w, out_h)]
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_lazy_frames_are_byte_identical_to_the_eager_chain(seed):
+def test_prediction_frames_are_one_sample_of_the_net_size_bone(seed):
     small = _small_bone(seed)
-    want_bone, want_prepared = eager_frames_ref(
-        small, (RAW_WIDTH, RAW_HEIGHT), (PREPARED_WIDTH, PREPARED_HEIGHT)
-    )
     # localizer input, from a chain nothing else has evaluated
     got = resize_bilinear(_lazy_prepared(small)[1], 96, 128).pixels
-    assert got.tobytes() == resize_bilinear_gather_ref(want_prepared, 96, 128).tobytes()
+    steps = PREPARE_STEPS + [("resize", 96, 128)]
+    assert got.tobytes() == chain_gather_ref(small, steps).tobytes()
+    np.testing.assert_allclose(got, chain_sample_ref(small, steps), atol=1e-5)
     rng = np.random.default_rng(seed)
     boxes = CHAIN_BOXES + [_random_box(rng, PREPARED_WIDTH, PREPARED_HEIGHT).as_tuple()]
     for box in boxes:
         got = crop_roi(_lazy_prepared(small)[1], RoiBox(*box), 64, 64).pixels
-        assert got.tobytes() == crop_resize_ref(want_prepared, box, 64, 64).tobytes(), box
+        steps = PREPARE_STEPS + _crop_steps(box, 64, 64)
+        assert got.tobytes() == chain_gather_ref(small, steps).tobytes(), box
+        np.testing.assert_allclose(got, chain_sample_ref(small, steps), atol=1e-5, err_msg=str(box))
+    # the full frames, as the --verbose dumps write them
     bone, prepared = _lazy_prepared(small)
-    assert prepared.pixels.tobytes() == want_prepared.tobytes()
-    assert bone.pixels.tobytes() == want_bone.tobytes()
+    assert prepared.pixels.tobytes() == chain_gather_ref(small, PREPARE_STEPS).tobytes()
+    assert bone.pixels.tobytes() == resize_bilinear_gather_ref(small, RAW_WIDTH, RAW_HEIGHT).tobytes()
 
 
 # ---------------------------------------------------------------------------
