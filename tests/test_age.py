@@ -197,7 +197,7 @@ def test_train_is_deterministic():
     assert runs[0][1] == runs[1][1]
 
 
-def test_single_sample_overfit_recovers_its_class_age():
+def test_single_sample_overfit_recovers_the_age():
     atlas = ReferenceAtlas()
     crop = _crop(8, (32, 32))
     truth = 156.0  # a class age: the expectation of a sure head is that age

@@ -383,8 +383,10 @@ def test_composed_chain_matches_the_loop_oracle(seed):
     np.testing.assert_allclose(lazy.pixels, chain_sample_ref(img.pixels, steps), atol=1e-5)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_crop_and_turn_chains_are_exact_permutations(seed):
+@pytest.mark.parametrize("seed", range(12))
+def test_lazy_chain_is_byte_identical_to_the_eager_chain(seed):
+    """Crops and quarter turns resample nothing, so a lazy chain of them is
+    the eager chain of numpy slices and ``rot90`` byte for byte."""
     img, steps, lazy = _random_chain(np.random.default_rng(900 + seed), ("turn", "crop"), 6)
     px = img.pixels
     for step in steps:

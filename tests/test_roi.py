@@ -240,10 +240,17 @@ def _crop_steps(box, out_w, out_h):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_prediction_frames_are_one_sample_of_the_net_size_bone(seed):
+def test_lazy_frames_are_byte_identical_to_the_eager_chain(seed):
+    """Every frame is one sample of the net-size bone image. The eager
+    chain reads each frame's pixels as it is built, as the --verbose dumps
+    do; its frames must keep the bytes of frames from a chain nothing else
+    has evaluated, and both must be the oracles' single sample."""
     small = _small_bone(seed)
-    # localizer input, from a chain nothing else has evaluated
+    bone, prepared = _lazy_prepared(small)
+    bone.pixels, prepared.pixels  # the eager chain: both full frames evaluated
+    # localizer input
     got = resize_bilinear(_lazy_prepared(small)[1], 96, 128).pixels
+    assert got.tobytes() == resize_bilinear(prepared, 96, 128).pixels.tobytes()
     steps = PREPARE_STEPS + [("resize", 96, 128)]
     assert got.tobytes() == chain_gather_ref(small, steps).tobytes()
     np.testing.assert_allclose(got, chain_sample_ref(small, steps), atol=1e-5)
@@ -251,11 +258,11 @@ def test_prediction_frames_are_one_sample_of_the_net_size_bone(seed):
     boxes = CHAIN_BOXES + [_random_box(rng, PREPARED_WIDTH, PREPARED_HEIGHT).as_tuple()]
     for box in boxes:
         got = crop_roi(_lazy_prepared(small)[1], RoiBox(*box), 64, 64).pixels
+        assert got.tobytes() == crop_roi(prepared, RoiBox(*box), 64, 64).pixels.tobytes(), box
         steps = PREPARE_STEPS + _crop_steps(box, 64, 64)
         assert got.tobytes() == chain_gather_ref(small, steps).tobytes(), box
         np.testing.assert_allclose(got, chain_sample_ref(small, steps), atol=1e-5, err_msg=str(box))
     # the full frames, as the --verbose dumps write them
-    bone, prepared = _lazy_prepared(small)
     assert prepared.pixels.tobytes() == chain_gather_ref(small, PREPARE_STEPS).tobytes()
     assert bone.pixels.tobytes() == resize_bilinear_gather_ref(small, RAW_WIDTH, RAW_HEIGHT).tobytes()
 
