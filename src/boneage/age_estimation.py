@@ -1,12 +1,11 @@
 """Bone-age estimation from a joint crop.
 
 The reference atlas is a fixed table of twelve (sex, age) classes: six
-ages per sex at twelve-month steps (120..180 months). The model is one
-conv trunk with two heads sharing its feature vector: a 12-way softmax
-that scores the crop's similarity to each atlas class, and a regression
-head that emits a continuous age. Both heads train; the estimate is the
-expectation of the class ages under the softmax, which also gives the
-similarity ranking and the nearest class.
+ages per sex at twelve-month steps (120..180 months). The model is a
+12-way classifier, one conv trunk and a softmax head that scores the
+crop's similarity to each atlas class. The estimate is the expectation
+of the class ages under the softmax, which also gives the similarity
+ranking and the nearest class.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from .checkpoint import write_atomic
 from .errors import ContractError
 from .imaging import GrayImage
 from .optim import TrainSettings
-from .tensor import Tensor, add, dense, loss, softmax_cross_entropy
-
-AGE_NORM = 180.0
+from .tensor import Tensor, dense, softmax_cross_entropy
 
 
 def default_atlas_classes() -> List[Tuple[str, float]]:
@@ -117,22 +114,16 @@ def build_age_model(config: AgeConfig = AgeConfig(), seed: Optional[int] = 0) ->
     params: Dict[str, Tensor] = {}
     nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
     nn.init_dense(params, rng, "head_class", config.hidden, NUM_CLASSES)
-    nn.init_dense(params, rng, "head_reg", config.hidden, 1)
     return nn.Model(config, params)
 
 
-def age_forward(model: nn.Model, x: Tensor) -> Tuple[Tensor, Tensor]:
-    """Run the net; returns (class_logits (N, 12), age_norm (N, 1)).
-
-    Both heads consume the same feature vector.
-    """
+def age_forward(model: nn.Model, x: Tensor) -> Tensor:
+    """Run the net; returns the class logits (N, 12)."""
     cfg = model.config
     nn.check_input(x, cfg.width, cfg.height)
     p = model.params
     feats = nn.vgg_trunk(x, p, len(cfg.backbone_channels))
-    class_logits = dense(feats, p["head_class.w"], p["head_class.b"])
-    age_norm = dense(feats, p["head_reg.w"], p["head_reg.b"])
-    return class_logits, age_norm
+    return dense(feats, p["head_class.w"], p["head_class.b"])
 
 
 def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> AgeEstimate:
@@ -141,9 +132,9 @@ def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> Age
     The age is the expectation of the atlas ages under the class head's
     softmax, sum_i p_i * age_i (DEX's deep expectation), so it lies in
     the atlas range; the scores and the nearest class come from the same
-    head. The regression head trains alongside but is not read here.
+    softmax.
     """
-    logits, _ = age_forward(model, Tensor(nn.planes([crop], model.config)))
+    logits = age_forward(model, Tensor(nn.planes([crop], model.config)))
     z = logits.data[0].astype(np.float64)
     z -= z.max()
     e = np.exp(z)
@@ -158,35 +149,28 @@ def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> Age
 
 def train_age(
     model: nn.Model,
-    dataset: Sequence[Tuple[GrayImage, float, int]],
+    dataset: Sequence[Tuple[GrayImage, int]],
     settings: TrainSettings,
     seed: int = 0,
     log_fn=None,
 ) -> Tuple[nn.Model, List[float]]:
-    """Fit on (crop, age_months, class_index) triples.
+    """Fit on (crop, class_index) pairs with class cross-entropy.
 
-    The loss is class cross-entropy plus the squared error of the
-    regression head against age/180. Returns the model and the mean
-    loss per epoch.
+    Returns the model and the mean loss per epoch.
     """
     n = len(dataset)
-    crops = nn.planes([crop for crop, _, _ in dataset], model.config)
+    crops = nn.planes([crop for crop, _ in dataset], model.config)
     onehot = np.zeros((n, NUM_CLASSES), dtype=np.float32)
-    ages = np.empty((n, 1), dtype=np.float32)
-    for i, (_, age_months, class_index) in enumerate(dataset):
+    for i, (_, class_index) in enumerate(dataset):
         if not 0 <= int(class_index) < NUM_CLASSES:
             raise ContractError(
                 f"sample {i}: class index {class_index} outside [0, {NUM_CLASSES})"
             )
-        if age_months <= 0:
-            raise ContractError(f"sample {i}: age_months must be positive, got {age_months}")
         onehot[i, int(class_index)] = 1.0
-        ages[i, 0] = age_months / AGE_NORM
 
     def batch_loss(idx: np.ndarray) -> Tensor:
-        class_logits, age_norm = age_forward(model, Tensor(crops[idx]))
-        ce = softmax_cross_entropy(class_logits, Tensor(onehot[idx]))
-        return add(ce, loss(age_norm, Tensor(ages[idx]), "mse"))
+        logits = age_forward(model, Tensor(crops[idx]))
+        return softmax_cross_entropy(logits, Tensor(onehot[idx]))
 
     history = nn.fit(model.params, n, batch_loss, settings, seed, "age", log_fn)
     return model, history

@@ -177,8 +177,9 @@ def age_data_deployed(
     crop_size: Tuple[int, int],
     seg_model: Model,
     seed: int = 0,
-) -> List[Tuple[GrayImage, float, int]]:
-    """Age-training triples cropped from the trained segmenter's output.
+) -> List[Tuple[GrayImage, int]]:
+    """Age-training (crop, class_index) pairs cropped from the trained
+    segmenter's output.
 
     Every other sample uses a perturbed box instead of the true one, so
     the age network also tolerates localization error.
@@ -192,13 +193,8 @@ def age_data_deployed(
         base = prepared_box(s)
         box = base if kept % 2 == 0 else _jitter_box(base, rng)
         kept += 1
-        out.append(
-            (
-                deployed_age_crop(seg_model, s, crop_size, box=box),
-                s.age_months,
-                atlas.class_of(s.sex, s.age_months),
-            )
-        )
+        crop = deployed_age_crop(seg_model, s, crop_size, box=box)
+        out.append((crop, atlas.class_of(s.sex, s.age_months)))
     return out
 
 
@@ -381,8 +377,3 @@ class Pipeline:
         with stage("load"):
             img = load_image(image_path)
         return self.predict_image(img, image_path=str(image_path), dump_dir=dump_dir)
-
-
-def run_pipeline(config: PipelineConfig, image_path, dump_dir: Optional[Path] = None) -> PredictionRecord:
-    """Load checkpoints and predict one image (see Pipeline for reuse)."""
-    return Pipeline.load(config).predict_path(image_path, dump_dir=dump_dir)

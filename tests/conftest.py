@@ -204,12 +204,12 @@ def trained_stack(tmp_path_factory) -> TrainedStack:
     t0 = time.time()
     atlas = build_phantom_atlas(cfg)
     age_model = build_age_model(cfg.age, seed=cfg.seed)
-    age_triples = age_data_deployed(
+    age_pairs = age_data_deployed(
         age_samples, atlas, cfg.age.input_size, seg_model, seed=cfg.seed
     )
     done = 0
     while done < 100:
-        train_age(age_model, age_triples, replace(cfg.age_train, epochs=5), seed=cfg.seed + done)
+        train_age(age_model, age_pairs, replace(cfg.age_train, epochs=5), seed=cfg.seed + done)
         done += 5
         truths, preds = age_errors(age_model, atlas, cfg, age_samples[:24], seg_model)
         if np.mean(np.abs(truths - preds)) < 3.0:

@@ -17,7 +17,7 @@ from boneage.imaging import load_image, save_image
 from boneage.metrics import selftest_report
 from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_phantom
-from boneage.pipeline import run_pipeline
+from boneage.pipeline import Pipeline
 from boneage.segmentation import (
     UNetConfig,
     build_unet,
@@ -306,10 +306,10 @@ def test_acceptance_8_reproducible_prediction_and_artifacts(
     case = tmp_path / "case.pgm"
     save_image(sample.image, case)
 
-    first = run_pipeline(trained_stack.config, case)
-    second = run_pipeline(trained_stack.config, case)
+    first = Pipeline.load(trained_stack.config).predict_path(case)
+    second = Pipeline.load(trained_stack.config).predict_path(case)
     dump = tmp_path / "dump"
-    third = run_pipeline(trained_stack.config, case, dump_dir=dump)
+    third = Pipeline.load(trained_stack.config).predict_path(case, dump_dir=dump)
 
     bone = load_image(dump / "bone.pgm")
     prepared = load_image(dump / "prepared.pgm")

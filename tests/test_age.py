@@ -1,4 +1,4 @@
-"""Reference atlas handling and the two-headed age network."""
+"""Reference atlas handling and the atlas-class age network."""
 
 import numpy as np
 import pytest
@@ -105,9 +105,7 @@ def test_config_validation():
 def test_forward_shapes():
     model = build_age_model(TINY, seed=0)
     x = Tensor(np.random.default_rng(0).random((3, 1, 32, 32), dtype=np.float32))
-    logits, age_norm = age_forward(model, x)
-    assert logits.data.shape == (3, 12)
-    assert age_norm.data.shape == (3, 1)
+    assert age_forward(model, x).data.shape == (3, 12)
 
 
 def test_forward_rejects_wrong_shapes():
@@ -135,16 +133,13 @@ def test_similarity_is_a_distribution(seed):
     assert abs(scores.sum() - 1.0) <= 1e-6
 
 
-def test_estimate_age_is_the_class_expectation_and_ignores_the_regression_head():
+def test_estimate_age_is_the_class_expectation():
     atlas = ReferenceAtlas()
     model = build_age_model(TINY, seed=1)
     crop = _crop(2, (32, 32))
     est = estimate_age(model, crop, atlas)
     ages = [age for _, age in atlas.classes]
     assert est.age_months == pytest.approx(sum(p * a for p, a in zip(est.class_scores, ages)))
-    # an absurd regression output does not move the estimate
-    model.params["head_reg.b"].data[:] = 100.0
-    assert estimate_age(model, crop, atlas).age_months == est.age_months
     # a class head sure of one class reads that class's age
     model.params["head_class.b"].data[:] = 0.0
     model.params["head_class.b"].data[8] = 100.0
@@ -165,30 +160,30 @@ def test_estimate_age_nearest_class_tracks_scores():
 # ---------------------------------------------------------------------------
 
 
-def test_train_validates_class_index_and_age():
+def test_train_validates_class_index():
     model = build_age_model(TINY, seed=0)
     crop = _crop(5, (32, 32))
     with pytest.raises(ContractError, match="sample 0"):
-        train_age(model, [(crop, 150.0, 12)], ONE_EPOCH)
+        train_age(model, [(crop, 12)], ONE_EPOCH)
     with pytest.raises(ContractError, match="sample 0"):
-        train_age(model, [(crop, -5.0, 3)], ONE_EPOCH)
+        train_age(model, [(crop, -1)], ONE_EPOCH)
 
 
 def test_train_validates_crop_size():
     model = build_age_model(TINY, seed=0)
     with pytest.raises(DimensionError, match="sample 0"):
-        train_age(model, [(_crop(6, (64, 64)), 150.0, 3)], ONE_EPOCH)
+        train_age(model, [(_crop(6, (64, 64)), 3)], ONE_EPOCH)
 
 
 def test_train_reports_epoch_and_batch_on_blowup():
     model = build_age_model(TINY, seed=0)
-    model.params["head_reg.b"].data[:] = np.nan
+    model.params["head_class.b"].data[:] = np.nan
     with pytest.raises(TrainingError, match="epoch 0, batch 0"):
-        train_age(model, [(_crop(7, (32, 32)), 150.0, 3)], ONE_EPOCH)
+        train_age(model, [(_crop(7, (32, 32)), 3)], ONE_EPOCH)
 
 
 def test_train_is_deterministic():
-    data = [(_crop(i, (32, 32)), 120.0 + 12.0 * (i % 6), i % 12) for i in range(6)]
+    data = [(_crop(i, (32, 32)), i % 12) for i in range(6)]
     runs = []
     for _ in range(2):
         model, history = train_age(build_age_model(TINY, seed=3), data, TrainSettings(3, 2e-3, 8), seed=5)
@@ -204,7 +199,7 @@ def test_single_sample_overfit_recovers_the_age():
     model = build_age_model(TINY, seed=4)
     model, history = train_age(
         model,
-        [(crop, truth, atlas.class_of("female", truth))],
+        [(crop, atlas.class_of("female", truth))],
         TrainSettings(epochs=400, learning_rate=3e-3, batch_size=1),
         seed=0,
     )

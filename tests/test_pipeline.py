@@ -35,6 +35,7 @@ from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_dataset, generate_phantom
 from boneage.roi import RoiBox, RpnConfig, build_rpn, train_roi
 from boneage.segmentation import UNetConfig, build_unet, train_segmentation
+from boneage.tensor import Tensor
 from boneage.pipeline import (
     STAGES,
     Pipeline,
@@ -46,7 +47,6 @@ from boneage.pipeline import (
     masked_bone_image,
     prepared_box,
     roi_data,
-    run_pipeline,
     segmentation_data,
     train_age_stage,
     train_roi_stage,
@@ -108,14 +108,15 @@ def test_age_data_keeps_positives_only(tmp_path):
     cfg = make_config(tmp_path)
     atlas = build_phantom_atlas(cfg)
     samples = [_sample(5), _sample(6, joint=False), _sample(7, maturity=1.0)]
-    triples = age_data_deployed(samples, atlas, cfg.age.input_size, build_unet(cfg.unet))
-    assert len(triples) == 2
-    for crop, age, class_index in triples:
+    pairs = age_data_deployed(samples, atlas, cfg.age.input_size, build_unet(cfg.unet))
+    assert len(pairs) == 2
+    for crop, _ in pairs:
         assert (crop.width, crop.height) == cfg.age.input_size
-        assert age in (150.0, 180.0)
-        assert 0 <= class_index < 12
     # the class index is the atlas's own nearest-class answer
-    assert triples[0][2] == atlas.class_of("female", 150.0)
+    assert [class_index for _, class_index in pairs] == [
+        atlas.class_of("female", 150.0),
+        atlas.class_of("female", 180.0),
+    ]
 
 
 def test_age_data_crops_on_the_smallest_canvas():
@@ -123,8 +124,8 @@ def test_age_data_crops_on_the_smallest_canvas():
     jitter grows past the 720x960 frame is cut to it, not clamped off it."""
     samples = generate_dataset(4, seed=0, negative_fraction=0.0, image_size=(32, 32))
     seg = build_unet(UNetConfig(depth=2, base_channels=4, input_size=(32, 32)))
-    triples = age_data_deployed(samples, ReferenceAtlas(), (32, 32), seg)
-    assert [(crop.width, crop.height) for crop, _, _ in triples] == [(32, 32)] * 4
+    pairs = age_data_deployed(samples, ReferenceAtlas(), (32, 32), seg)
+    assert [(crop.width, crop.height) for crop, _ in pairs] == [(32, 32)] * 4
 
 
 def test_training_and_holdout_streams_are_disjoint(tmp_path):
@@ -211,7 +212,7 @@ def test_trainer_rejects_an_off_size_sample_naming_it(tmp_path, stage):
     dataset = {
         "segmentation": pairs,
         "localization": [(img, RoiBox(1, 1, 8, 8), True) for img, _ in pairs],
-        "age": [(img, 150.0, 3) for img, _ in pairs],
+        "age": [(img, 3) for img, _ in pairs],
     }[stage]
     message = f"^sample 1: expected a {w}x{h} image, got {2 * w}x{2 * h}$"
     with pytest.raises(DimensionError, match=message):
@@ -277,6 +278,20 @@ def test_load_rejects_checkpoint_from_a_different_geometry(tmp_path, stage, chan
             net = replace(net, **changes)
         save_checkpoint(getattr(cfg, checkpoint), build(net, seed=0).params)
     with pytest.raises(CheckpointError, match=f"^{stage}: .*{re.escape(reason)}"):
+        Pipeline.load(cfg)
+
+
+def test_load_refuses_an_age_checkpoint_with_the_retired_regression_head(tmp_path):
+    """An age checkpoint in the two-head layout, with ``head_reg`` beside
+    the class head, is refused at load: it must be retrained."""
+    cfg = make_config(tmp_path)
+    for name, (build, geometry, checkpoint, _) in STAGES.items():
+        params = build(getattr(cfg, geometry), seed=cfg.seed).params
+        if name == "age":
+            params["head_reg.w"] = Tensor(np.zeros((cfg.age.hidden, 1), dtype=np.float32))
+            params["head_reg.b"] = Tensor(np.zeros(1, dtype=np.float32))
+        save_checkpoint(getattr(cfg, checkpoint), params)
+    with pytest.raises(CheckpointError, match=r"^age: .*extra=\['head_reg.b', 'head_reg.w'\]"):
         Pipeline.load(cfg)
 
 
@@ -424,7 +439,7 @@ def test_end_to_end_age_error_is_bounded(trained_stack, tmp_path):
     sample = trained_stack.holdout_positives[0]
     path = tmp_path / "case.pgm"
     save_image(sample.image, path)
-    record = run_pipeline(trained_stack.config, path)
+    record = Pipeline.load(trained_stack.config).predict_path(path)
     assert abs(record.age_months - sample.age_months) < 12.0
     assert not record.low_confidence
 
@@ -433,8 +448,8 @@ def test_end_to_end_is_deterministic(trained_stack, tmp_path):
     sample = trained_stack.holdout_positives[1]
     path = tmp_path / "case.pgm"
     save_image(sample.image, path)
-    a = run_pipeline(trained_stack.config, path)
-    b = run_pipeline(trained_stack.config, path)
+    a = Pipeline.load(trained_stack.config).predict_path(path)
+    b = Pipeline.load(trained_stack.config).predict_path(path)
     assert a == b
 
 
@@ -445,7 +460,7 @@ def test_end_to_end_artifact_sizes(trained_stack, tmp_path):
     path = tmp_path / "case.pgm"
     save_image(sample.image, path)
     dump = tmp_path / "debug"
-    run_pipeline(trained_stack.config, path, dump_dir=dump)
+    Pipeline.load(trained_stack.config).predict_path(path, dump_dir=dump)
     bone = load_image(dump / "bone.pgm")
     assert (bone.width, bone.height) == (720, 480)
     prepared = load_image(dump / "prepared.pgm")
