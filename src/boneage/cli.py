@@ -4,12 +4,16 @@ Every subcommand takes ``--config`` (INI file), ``--seed``, ``--out``,
 and ``--verbose``; flags override their config keys. Exit code 0 on
 success, 1 with a stage-labeled message on any contract, config,
 training, or I/O error.
+
+``predict`` never imports ``metrics``: ``eval`` and ``selftest`` import
+it where they score.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
 import sys
@@ -24,7 +28,6 @@ from .checkpoint import write_atomic
 from .config import PipelineConfig, load_config, rebase_out
 from .errors import BoneAgeError, ContractError
 from .imaging import load_image, save_image
-from .metrics import evaluate, selftest_report
 from .phantom import AGE_MAX_MONTHS, AGE_MIN_MONTHS, PhantomSpec, generate_phantom
 from .roi import predict_roi, prepare_roi_input
 from .segmentation import segment
@@ -105,12 +108,12 @@ def _read_csv_pairs(path: Path) -> List:
     out = []
     for lineno, row in enumerate(rows, start=2):  # line 1 is the header
         try:
-            months = float(row["months"])
+            case_id, months = row["id"], float(row["months"])
         except (KeyError, TypeError, ValueError):
             raise ContractError(f"{path}: needs columns id,months") from None
         if not math.isfinite(months):
             raise ContractError(f"{path}:{lineno}: months must be finite, got {row['months']!r}")
-        out.append((row["id"], months))
+        out.append((case_id, months))
     return out
 
 
@@ -273,6 +276,7 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
 
 
 def _cmd_eval(args, config: PipelineConfig) -> int:
+    from .metrics import evaluate
     predictions = _read_csv_pairs(args.predictions)
     labels = _read_csv_pairs(args.labels)
     report = evaluate(predictions, labels)
@@ -290,6 +294,7 @@ def _cmd_eval(args, config: PipelineConfig) -> int:
 
 
 def _cmd_selftest(args, config: PipelineConfig) -> int:
+    from .metrics import selftest_report
     report = selftest_report()
     print(f"cases: {report.count}")
     print(f"mae_months: {report.mae_months:.4f}")
@@ -321,5 +326,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
+def entry() -> int:
+    """The process entry point of the ``boneage`` script and ``python -m
+    boneage.cli``: ``main``, then ``gc.freeze()``, so interpreter teardown
+    skips its cycle sweep over some 22k tracked objects, mostly numpy's.
+    Exit handlers, stream flushes and refcount frees still run; in-process
+    callers use ``main``, which has no process-wide effect."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry())

@@ -5,11 +5,17 @@ these tests exercise plumbing (flags, files, exit codes, formats),
 not model quality.
 """
 
+import gc
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import boneage
 from boneage.cli import main
 from boneage.imaging import load_image
 
@@ -72,6 +78,22 @@ def workspace(tmp_path_factory):
 
 def _args(ini):
     return ["--config", str(ini)]
+
+
+def _python(*argv):
+    """A fresh interpreter that imports this boneage package."""
+    src = str(Path(boneage.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *map(str, argv)], env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def _checkpoint_dir(root, path, age_from="age.ckpt"):
+    path.mkdir()
+    for name, source in (("seg.ckpt", "seg.ckpt"), ("roi.ckpt", "roi.ckpt"), ("age.ckpt", age_from)):
+        (path / name).write_bytes((root / "out" / source).read_bytes())
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +278,46 @@ def test_failed_predict_leaves_no_predictions_csv(workspace, tmp_path, capsys):
     assert [p.name for p in out.iterdir() if p.suffix != ".ckpt"] == []
 
 
+def test_predict_process_matches_main_in_process(workspace, tmp_path, capsys):
+    root, ini = workspace
+    image = root / "out" / "phantoms" / "ph0002.pgm"
+    inproc = _checkpoint_dir(root, tmp_path / "inproc")
+    frozen = gc.get_freeze_count()
+    assert main(["predict", "--out", str(inproc), str(image), *_args(ini)]) == 0
+    # only the process entry point freezes the collector's objects
+    assert gc.get_freeze_count() == frozen
+    proc = _checkpoint_dir(root, tmp_path / "proc")
+    done = _python("-m", "boneage.cli", "predict", "--out", proc, image, *_args(ini))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == capsys.readouterr().out
+    assert (proc / "predictions.csv").read_bytes() == (inproc / "predictions.csv").read_bytes()
+
+
+def test_predict_process_refuses_a_localizer_checkpoint_as_age(workspace, tmp_path):
+    root, ini = workspace
+    out = _checkpoint_dir(root, tmp_path / "stale", age_from="roi.ckpt")
+    image = root / "out" / "phantoms" / "ph0002.pgm"
+    done = _python("-m", "boneage.cli", "predict", "--out", out, image, *_args(ini))
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: age: ")
+    assert not (out / "predictions.csv").exists()
+
+
+def test_module_entry_freezes_the_collector_after_main():
+    # `python -m boneage.cli selftest`, run where the freeze can be read
+    script = (
+        "import gc, runpy, sys\n"
+        "sys.argv = ['boneage', 'selftest']\n"
+        "try:\n"
+        "    runpy.run_module('boneage.cli', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, gc.get_freeze_count() > 0)\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 True"
+
+
 def test_predict_without_checkpoints_fails_with_stage(workspace, tmp_path, capsys):
     _, ini = workspace
     img = tmp_path / "x.pgm"
@@ -365,6 +427,23 @@ def test_eval_rejects_non_finite_months(workspace, tmp_path, capsys, which, mont
     assert capsys.readouterr().err == (
         f"error: {files[which]}:3: months must be finite, got '{months}'\n"
     )
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "header", ["name,months", "id,age"], ids=["missing-id", "missing-months"]
+)
+def test_eval_rejects_csv_without_a_needed_column(workspace, tmp_path, capsys, header):
+    _, ini = workspace
+    pred = tmp_path / "pred.csv"
+    pred.write_text(f"{header}\na,126\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,months\na,120\n")
+    assert main([
+        "eval", "--predictions", str(pred), "--labels", str(labels),
+        "--config", str(ini), "--out", str(tmp_path / "o"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {pred}: needs columns id,months\n"
     assert not (tmp_path / "o" / "report.csv").exists()
 
 

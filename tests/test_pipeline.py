@@ -395,18 +395,23 @@ def test_dumps_build_the_full_frames(tmp_path, monkeypatch):
     }
 
 
-# A fresh interpreter that only loads checkpoints and predicts: what one
-# `boneage predict` process per image pays before its first pixel.
+# A fresh interpreter that imports what the predict command does, loads
+# the checkpoints and predicts: what one `boneage predict` process per
+# image pays before its first pixel. It prints which of the module names
+# after the image it imported.
 _COLD_PREDICT = """
 import sys
 from pathlib import Path
+import boneage.cli
 from boneage.config import load_config, rebase_out
 from boneage.pipeline import Pipeline
 cfg = load_config(None)
 rebase_out(cfg, Path(sys.argv[1]))
 print(Pipeline.load(cfg).predict_path(sys.argv[2]).format_line())
-print("numpy.random" in sys.modules)
+print([name for name in sys.argv[3:] if name in sys.modules])
 """
+# restoring checkpoints draws no weights, and only eval and selftest score
+_NOT_ON_THE_PREDICT_PATH = ("numpy.random", "boneage.metrics")
 
 
 def test_cold_load_draws_nothing_and_predicts_like_the_seeded_models(tmp_path):
@@ -423,11 +428,11 @@ def test_cold_load_draws_nothing_and_predicts_like_the_seeded_models(tmp_path):
     src = str(Path(imaging.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", _COLD_PREDICT, str(cfg.out_dir), str(image)],
+        [sys.executable, "-c", _COLD_PREDICT, str(cfg.out_dir), str(image), *_NOT_ON_THE_PREDICT_PATH],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [pipe.predict_path(image).format_line(), "False"]
+    assert done.stdout.splitlines() == [pipe.predict_path(image).format_line(), "[]"]
 
 
 # ---------------------------------------------------------------------------
