@@ -2,17 +2,17 @@
 
 The reference atlas is a fixed table of twelve (sex, age) classes: six
 ages per sex at twelve-month steps (120..180 months). The model is a
-12-way classifier, one conv trunk and a softmax head that scores the
-crop's similarity to each atlas class. The estimate is the expectation
-of the class ages under the softmax, which also gives the similarity
-ranking and the nearest class.
+12-way classifier, the VGG-style net of ``nn`` with one softmax head
+that scores the crop's similarity to each atlas class. The estimate is
+the expectation of the class ages under the softmax, which also gives
+the similarity ranking and the nearest class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .checkpoint import write_atomic
 from .errors import ContractError
 from .imaging import GrayImage
 from .optim import TrainSettings
-from .tensor import Tensor, dense, softmax_cross_entropy
+from .tensor import Tensor, softmax_cross_entropy
 
 
 def default_atlas_classes() -> List[Tuple[str, float]]:
@@ -95,35 +95,18 @@ class AgeEstimate:
 # the network
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AgeConfig(nn.InputPlane):
-    """Geometry of the age network."""
-
-    input_size: Tuple[int, int] = (64, 64)
-    backbone_channels: Tuple[int, ...] = (8, 16, 32)
-    hidden: int = 64
-
-    def __post_init__(self):
-        nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
+AGE_HEADS = {"head_class": NUM_CLASSES}
 
 
-def build_age_model(config: AgeConfig = AgeConfig(), seed: Optional[int] = 0) -> nn.Model:
-    """Initialize the age network's parameters; with ``seed``
-    None they are zeros for ``restore_params`` to fill."""
-    rng = nn.init_rng(seed)
-    params: Dict[str, Tensor] = {}
-    nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
-    nn.init_dense(params, rng, "head_class", config.hidden, NUM_CLASSES)
-    return nn.Model(config, params)
+def build_age_model(config: nn.VggConfig, seed: Optional[int] = 0) -> nn.Model:
+    """Initialize the age network, the VGG net with ``AGE_HEADS``; with
+    ``seed`` None its parameters are zeros for ``restore_params``."""
+    return nn.build_vgg(config, AGE_HEADS, seed)
 
 
 def age_forward(model: nn.Model, x: Tensor) -> Tensor:
     """Run the net; returns the class logits (N, 12)."""
-    cfg = model.config
-    nn.check_input(x, cfg.width, cfg.height)
-    p = model.params
-    feats = nn.vgg_trunk(x, p, len(cfg.backbone_channels))
-    return dense(feats, p["head_class.w"], p["head_class.b"])
+    return nn.vgg_forward(model, x, AGE_HEADS)[0]
 
 
 def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> AgeEstimate:

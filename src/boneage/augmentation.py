@@ -11,6 +11,7 @@ expansion is reproducible down to the byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -39,6 +40,14 @@ class AugmentationSpec:
             raise ContractError("rotation set is empty")
         if not self.flips:
             raise ContractError("flip set is empty")
+        if not all(math.isfinite(rot) for rot in self.rotations):
+            raise ContractError(f"rotations must be finite, got {self.rotations}")
+        # a variant's id names its rotation by {:g}; two alike write one file twice
+        names = [f"r{rot:g}" for rot in self.rotations]
+        if len(set(names)) < len(names):
+            raise ContractError(f"rotations {self.rotations} repeat a variant id ({', '.join(names)})")
+        if len(set(self.flips)) < len(self.flips):
+            raise ContractError(f"flips repeat: {self.flips}")
 
     @property
     def shifts_x(self) -> Tuple[int, ...]:

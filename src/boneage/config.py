@@ -21,11 +21,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, Tuple
 
-from .age_estimation import AgeConfig
 from .augmentation import AugmentationSpec
 from .errors import ConfigError
+from .nn import VggConfig
 from .optim import TrainSettings
-from .roi import RpnConfig
 from .segmentation import UNetConfig
 
 
@@ -50,8 +49,8 @@ class PipelineConfig:
     confidence_threshold: float = 0.5
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
     unet: UNetConfig = field(default_factory=UNetConfig)
-    rpn: RpnConfig = field(default_factory=RpnConfig)
-    age: AgeConfig = field(default_factory=AgeConfig)
+    rpn: VggConfig = VggConfig(input_size=(96, 128))
+    age: VggConfig = VggConfig(input_size=(64, 64))
     seg_train: TrainSettings = TrainSettings(epochs=40, learning_rate=1e-3, batch_size=16)
     roi_train: TrainSettings = TrainSettings(epochs=60, learning_rate=2e-3, batch_size=8)
     age_train: TrainSettings = TrainSettings(epochs=60, learning_rate=2e-3, batch_size=8)

@@ -1,28 +1,29 @@
 """Shared building blocks for the three networks.
 
 A model is an ``nn.Model``: its config (the network's geometry) plus a
-dict of named parameter Tensors; each network module supplies the
-forward function. These helpers cover He-uniform initialization (or,
-with no seed, zero placeholders for a checkpoint to fill), the conv+relu
-blocks everything is assembled from, the VGG-style trunk the
-localizer and the age net share, the stacking of net-size images into a
-batch (``planes``), and the one training loop.
+dict of named parameter Tensors. These helpers cover He-uniform
+initialization (or, with no seed, zero placeholders for a checkpoint to
+fill), the conv+relu blocks everything is assembled from, the VGG-style
+net, the stacking of net-size images into a batch (``planes``), and the
+one training loop.
 
-The trunk is ``block{i}`` double-conv blocks, each followed by a 2x2
-max-pool, then ``relu(fc)`` over the flattened features; the heads on
-top are the caller's. ``fit`` runs every network's training from its
-``TrainSettings``: shuffled minibatches (``minibatches``), a fresh tape
-per step, a finite-loss check, one Adam ``optimizer_step``, and the
-epoch mean handed to ``log_fn``; it returns the parameters averaged
-over the later half of the epoch ends. Both loop calls go through this
-module's names, so code that rebinds them (the benchmark's step clock
-and tracer) sees every step.
+The localizer and the age net are one ``VggConfig`` net (Simonyan &
+Zisserman, arXiv:1409.1556) that differs only in its heads: ``block{i}``
+double-conv blocks, each followed by a 2x2 max-pool, then ``relu(fc)``
+and one dense layer per named head. ``fit`` runs every network's
+training from its ``TrainSettings``: shuffled minibatches
+(``minibatches``), a fresh tape per step, a finite-loss check, one Adam
+``optimizer_step``, and the epoch mean handed to ``log_fn``; it returns
+the parameters averaged over the later half of the epoch ends, never
+NaN or inf ones. Both loop calls go through this module's names, so
+code that rebinds them (the benchmark's step clock and tracer) sees
+every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,16 +125,6 @@ def check_divisible(input_size: Tuple[int, int], pools: int) -> None:
         raise ConfigError(f"input extents {w}x{h} must be divisible by {div}")
 
 
-def check_trunk_config(channels: Tuple[int, ...], input_size: Tuple[int, int], hidden: int) -> None:
-    if not channels:
-        raise ConfigError("backbone_channels is empty")
-    if min(channels) < 1:
-        raise ConfigError(f"backbone_channels must all be >= 1, got {channels}")
-    if hidden < 1:
-        raise ConfigError(f"hidden must be >= 1, got {hidden}")
-    check_divisible(input_size, len(channels))
-
-
 def check_input(x: Tensor, width: int, height: int) -> None:
     """The networks take a (N, 1, height, width) batch."""
     if x.data.ndim != 4 or x.data.shape[1] != 1:
@@ -160,30 +151,53 @@ def planes(images: Sequence[GrayImage], config: InputPlane) -> np.ndarray:
     return batch
 
 
-def init_vgg_trunk(
-    params: Dict[str, Tensor],
-    rng: Optional[np.random.Generator],
-    channels: Tuple[int, ...],
-    input_size: Tuple[int, int],
-    hidden: int,
-) -> None:
-    """Register the conv blocks and the ``fc`` layer, in that draw order."""
+@dataclass(frozen=True)
+class VggConfig(InputPlane):
+    """Geometry of a VGG-style net: one double-conv block per
+    ``backbone_channels`` entry, then ``hidden`` relu(fc) features."""
+
+    input_size: Tuple[int, int]
+    backbone_channels: Tuple[int, ...] = (8, 16, 32)
+    hidden: int = 64
+
+    def __post_init__(self):
+        channels = self.backbone_channels
+        if not channels:
+            raise ConfigError("backbone_channels is empty")
+        if min(channels) < 1:
+            raise ConfigError(f"backbone_channels must all be >= 1, got {channels}")
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be >= 1, got {self.hidden}")
+        check_divisible(self.input_size, len(channels))
+
+
+def build_vgg(config: VggConfig, heads: Dict[str, int], seed: Optional[int]) -> Model:
+    """Register the conv blocks, ``fc`` and one dense layer per ``heads``
+    entry (name -> width), in that draw order; with ``seed`` None the
+    parameters are zeros for ``restore_params`` to fill."""
+    rng = init_rng(seed)
+    params: Dict[str, Tensor] = {}
     in_ch = 1
-    for i, out_ch in enumerate(channels):
+    for i, out_ch in enumerate(config.backbone_channels):
         init_conv_block(params, rng, f"block{i}", in_ch, out_ch)
         in_ch = out_ch
-    div = 2 ** len(channels)
-    feat = channels[-1] * (input_size[0] // div) * (input_size[1] // div)
-    init_dense(params, rng, "fc", feat, hidden)
+    div = 2 ** len(config.backbone_channels)
+    init_dense(params, rng, "fc", in_ch * (config.width // div) * (config.height // div), config.hidden)
+    for name, width in heads.items():
+        init_dense(params, rng, name, config.hidden, width)
+    return Model(config, params)
 
 
-def vgg_trunk(x: Tensor, params: Dict[str, Tensor], depth: int) -> Tensor:
-    """``depth`` conv blocks with pooling, then relu(fc): (N, hidden) features."""
+def vgg_forward(model: Model, x: Tensor, heads: Iterable[str]) -> Tuple[Tensor, ...]:
+    """Run the blocks with pooling and relu(fc) on an (N, 1, height,
+    width) batch; returns the named heads' dense outputs, in order."""
+    cfg, p = model.config, model.params
+    check_input(x, cfg.width, cfg.height)
     t = x
-    for i in range(depth):
-        t = conv_block(t, params, f"block{i}")
-        t = T.max_pool2d(t)
-    return T.relu(T.dense(T.flatten(t), params["fc.w"], params["fc.b"]))
+    for i in range(len(cfg.backbone_channels)):
+        t = T.max_pool2d(conv_block(t, p, f"block{i}"))
+    t = T.relu(T.dense(T.flatten(t), p["fc.w"], p["fc.b"]))
+    return tuple(T.dense(t, p[f"{name}.w"], p[f"{name}.b"]) for name in heads)
 
 
 def minibatches(n: int, batch_size: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -207,8 +221,9 @@ def fit(
 
     ``loss_fn`` runs under the step's tape and returns the scalar loss.
     ``label`` names the stage in the per-epoch log line and in the
-    TrainingError raised when there is no sample or a batch loss stops
-    being finite.
+    TrainingError raised when there is no sample, a batch loss stops
+    being finite, or the weights it would return hold NaN or inf (the
+    last step's update has no later loss to show it).
 
     The parameters come back as the mean of their epoch-end values from
     epoch ``epochs // 2`` on (the last epoch's alone for one or two
@@ -247,6 +262,12 @@ def fit(
                 mean[name] = p.data.copy()
             elif k > 1:
                 mean[name] += (p.data - mean[name]) / np.float32(k)
+    # a float64 sum of float32 values is finite exactly when every value is,
+    # and it allocates no mask: isfinite masks here slowed the U-Net steps
+    # of later fits by about a tenth (the benchmark's `train` p90)
+    for name, value in mean.items():
+        if not np.isfinite(value.sum(dtype=np.float64)):
+            raise TrainingError(f"{label} training ended with NaN or inf in parameter {name!r}")
     for name, p in params.items():
         p.data = mean[name]
     return history

@@ -59,8 +59,8 @@ class PhantomSpec:
         w, h = self.image_size
         if w < 32 or h < 32:
             raise ContractError(f"phantom canvas too small: {w}x{h}")
-        if self.noise_level < 0:
-            raise ContractError(f"noise_level must be >= 0, got {self.noise_level}")
+        if not 0 <= self.noise_level < math.inf:
+            raise ContractError(f"noise_level must be finite and >= 0, got {self.noise_level}")
 
     @property
     def age_months(self) -> float:

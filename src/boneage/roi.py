@@ -1,10 +1,11 @@
 """Joint-region localization: box algebra and the region proposal net.
 
 Boxes are (x, y, w, h) with the origin at the top-left corner, in
-pixels of whichever image they are measured on. The network regresses
-a single box per image directly — five outputs: two sigmoid-squashed
-center coordinates, two log-scale extents, and a confidence logit
-scoring whether the input shows a real joint at all.
+pixels of whichever image they are measured on. The network, the VGG
+net of ``nn`` with three heads, regresses a single box per image
+directly — five outputs: two sigmoid-squashed center coordinates, two
+log-scale extents, and a confidence logit scoring whether the input
+shows a real joint at all.
 
 Input standardization: the 720x480 bone image is rotated a quarter
 turn so the limb axis runs vertically, then resized to 720x960. The
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from . import nn
 from .errors import ContractError
 from .imaging import GrayImage, crop, resize_bilinear, rotate
 from .optim import TrainSettings
-from .tensor import Tensor, add, dense, loss, select_rows, sigmoid
+from .tensor import Tensor, add, loss, select_rows, sigmoid
 
 RAW_WIDTH = 720
 RAW_HEIGHT = 480
@@ -134,43 +135,18 @@ def crop_roi(
 # the network
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RpnConfig(nn.InputPlane):
-    """Geometry of the localization network: VGG-style blocks, one box."""
-
-    backbone_channels: Tuple[int, ...] = (8, 16, 32)
-    input_size: Tuple[int, int] = (96, 128)
-    hidden: int = 64
-
-    def __post_init__(self):
-        nn.check_trunk_config(self.backbone_channels, self.input_size, self.hidden)
+RPN_HEADS = {"head_center": 2, "head_size": 2, "head_conf": 1}
 
 
-def build_rpn(config: RpnConfig = RpnConfig(), seed: Optional[int] = 0) -> nn.Model:
-    """Initialize the localization network's parameters; with ``seed``
-    None they are zeros for ``restore_params`` to fill."""
-    rng = nn.init_rng(seed)
-    params: Dict[str, Tensor] = {}
-    nn.init_vgg_trunk(params, rng, config.backbone_channels, config.input_size, config.hidden)
-    nn.init_dense(params, rng, "head_center", config.hidden, 2)
-    nn.init_dense(params, rng, "head_size", config.hidden, 2)
-    nn.init_dense(params, rng, "head_conf", config.hidden, 1)
-    return nn.Model(config, params)
+def build_rpn(config: nn.VggConfig, seed: Optional[int] = 0) -> nn.Model:
+    """Initialize the localizer, the VGG net with ``RPN_HEADS``; with
+    ``seed`` None its parameters are zeros for ``restore_params``."""
+    return nn.build_vgg(config, RPN_HEADS, seed)
 
 
 def rpn_forward(model: nn.Model, x: Tensor) -> Tuple[Tensor, Tensor, Tensor]:
-    """Run the net; returns (center_logits, size_logits, conf_logits).
-
-    Five scalars per image: 2 center, 2 size, 1 confidence.
-    """
-    cfg = model.config
-    nn.check_input(x, cfg.width, cfg.height)
-    p = model.params
-    t = nn.vgg_trunk(x, p, len(cfg.backbone_channels))
-    center = dense(t, p["head_center.w"], p["head_center.b"])
-    size = dense(t, p["head_size.w"], p["head_size.b"])
-    conf = dense(t, p["head_conf.w"], p["head_conf.b"])
-    return center, size, conf
+    """Run the net; returns the center, size and confidence logits."""
+    return nn.vgg_forward(model, x, RPN_HEADS)
 
 
 def decode_boxes(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from boneage.age_estimation import (
-    AgeConfig,
     AgeEstimate,
     ReferenceAtlas,
     age_forward,
@@ -14,12 +13,13 @@ from boneage.age_estimation import (
     save_atlas,
     train_age,
 )
-from boneage.errors import ConfigError, ContractError, DimensionError, TrainingError
+from boneage.errors import ContractError, DimensionError, TrainingError
 from boneage.imaging import GrayImage
+from boneage.nn import VggConfig
 from boneage.optim import TrainSettings
 from boneage.tensor import Tensor
 
-TINY = AgeConfig(input_size=(32, 32), backbone_channels=(4, 8), hidden=16)
+TINY = VggConfig(input_size=(32, 32), backbone_channels=(4, 8), hidden=16)
 ONE_EPOCH = TrainSettings(epochs=1, learning_rate=2e-3, batch_size=8)
 
 
@@ -93,13 +93,6 @@ def test_estimate_requires_consistent_argmax():
 # ---------------------------------------------------------------------------
 # network
 # ---------------------------------------------------------------------------
-
-
-def test_config_validation():
-    with pytest.raises(ConfigError):
-        AgeConfig(backbone_channels=())
-    with pytest.raises(ConfigError):
-        AgeConfig(input_size=(62, 64))
 
 
 def test_forward_shapes():

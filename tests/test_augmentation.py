@@ -36,6 +36,12 @@ def test_spec_validation():
         AugmentationSpec(rotations=())
     with pytest.raises(ContractError):
         AugmentationSpec(flips=())
+    # every variant needs its own id, and a rotation must be a number
+    for rotations in [(0.0, 15.0, 15.0), (15.0, 15.0000001), (0.0, float("nan")), (float("inf"),)]:
+        with pytest.raises(ContractError):
+            AugmentationSpec(rotations=rotations)
+    with pytest.raises(ContractError):
+        AugmentationSpec(flips=(True, True))
 
 
 def test_labeled_image_validation():

@@ -166,6 +166,25 @@ def test_augment_rejects_non_finite_reference_age(workspace, tmp_path, capsys, a
     assert not (out / "augmented").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("rotations = 0, 15, 15.0", "rotations (0.0, 15.0, 15.0) repeat a variant id (r0, r15, r15)"),
+        ("rotations = 15, 15.0000001", "rotations (15.0, 15.0000001) repeat a variant id (r15, r15)"),
+        ("rotations = 0, nan", "rotations must be finite, got (0.0, nan)"),
+        ("rotations = 0, inf", "rotations must be finite, got (0.0, inf)"),
+        ("flips = true, yes", "flips repeat: (True, True)"),
+    ],
+    ids=["r15-twice", "r15-by-rounding", "nan", "inf", "flip-twice"],
+)
+def test_augment_refuses_a_grid_that_names_two_variants_alike(tmp_path, capsys, line, message):
+    ini = tmp_path / "f.ini"
+    ini.write_text(f"[augmentation]\n{line}\n\n[paths]\nout_dir = {tmp_path}/out\n")
+    assert main(["augment", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # training and inference commands
 # ---------------------------------------------------------------------------
@@ -484,6 +503,26 @@ def test_train_roi_rejects_zero_channels_before_training(tmp_path, capsys):
     assert main(["train-roi", "--config", str(ini)]) == 1
     assert capsys.readouterr().err.startswith("error: backbone_channels must all be >= 1")
     assert not (tmp_path / "out" / "roi.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        ("nan", "learning_rate must be finite and > 0, got nan"),
+        ("inf", "learning_rate must be finite and > 0, got inf"),
+        # finite, but the float32 step overflows; one batch, so no later
+        # loss sees the weights it leaves
+        ("1e39", "seg training ended with NaN or inf in parameter 'enc0.conv1.w'"),
+    ],
+    ids=["nan", "inf", "1e39"],
+)
+def test_train_refuses_a_learning_rate_that_leaves_non_finite_weights(tmp_path, capsys, rate, message):
+    ini = tmp_path / "f.ini"
+    ini.write_text(TINY_INI.replace("[segmentation]\n", f"[segmentation]\nlearning_rate = {rate}\n", 1)
+                   + f"\n[paths]\nout_dir = {tmp_path}/out\n")
+    assert main(["train-seg", "--count", "4", "--epochs", "1", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out" / "seg.ckpt").exists()
 
 
 def test_selftest_passes_on_the_bundled_table(capsys):

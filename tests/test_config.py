@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from boneage import cli
-from boneage.age_estimation import AgeConfig
 from boneage.augmentation import AugmentationSpec
 from boneage.config import (
     _SCHEMA,
@@ -19,7 +18,7 @@ from boneage.config import (
     rebase_out,
 )
 from boneage.errors import ConfigError
-from boneage.roi import RpnConfig
+from boneage.nn import VggConfig
 from boneage.segmentation import UNetConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -217,6 +216,9 @@ def test_train_settings_validation():
         TrainSettings(epochs=1, learning_rate=0.0, batch_size=1)
     with pytest.raises(ConfigError):
         TrainSettings(epochs=1, learning_rate=0.1, batch_size=0)
+    for rate in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+            TrainSettings(epochs=1, learning_rate=rate, batch_size=1)
 
 
 def test_zero_epochs_rejected():
@@ -319,8 +321,8 @@ def test_every_schema_key_sets_its_own_field(tmp_path):
             rotations=(0.0, 10.5), flips=(True,),
         ),
         unet=UNetConfig(depth=2, base_channels=4, input_size=(48, 32), threshold=0.4),
-        rpn=RpnConfig(backbone_channels=(4, 8), input_size=(64, 48), hidden=16),
-        age=AgeConfig(input_size=(32, 48), backbone_channels=(2, 4, 8), hidden=24),
+        rpn=VggConfig(backbone_channels=(4, 8), input_size=(64, 48), hidden=16),
+        age=VggConfig(input_size=(32, 48), backbone_channels=(2, 4, 8), hidden=24),
         seg_train=TrainSettings(epochs=5, learning_rate=0.01, batch_size=2),
         roi_train=TrainSettings(epochs=6, learning_rate=0.02, batch_size=3),
         age_train=TrainSettings(epochs=7, learning_rate=0.03, batch_size=5),

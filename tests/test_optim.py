@@ -86,13 +86,13 @@ def test_zero_grads_clears_every_gradient():
     assert p.grad is None and q.grad is None
 
 
-def _fit_toy(epochs):
-    """A dense layer fitted by ``nn.fit``; returns its parameters, their
-    values at each epoch end (read from the log hook, which runs then)
-    and the loss history."""
+def _fit_toy(epochs, learning_rate=0.05, n=12):
+    """A dense layer fitted by ``nn.fit`` on ``n`` samples; returns its
+    parameters, their values at each epoch end (read from the log hook,
+    which runs then) and the loss history."""
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((12, 3)).astype(np.float32)
-    y = rng.standard_normal((12, 2)).astype(np.float32)
+    x = rng.standard_normal((n, 3)).astype(np.float32)
+    y = rng.standard_normal((n, 2)).astype(np.float32)
     params = {
         "w": Tensor(rng.standard_normal((3, 2)) * 0.1, requires_grad=True),
         "b": Tensor(np.zeros(2), requires_grad=True),
@@ -105,7 +105,7 @@ def _fit_toy(epochs):
     def log_fn(line):
         ends.append({name: p.data.copy() for name, p in params.items()})
 
-    settings = TrainSettings(epochs=epochs, learning_rate=0.05, batch_size=4)
+    settings = TrainSettings(epochs=epochs, learning_rate=learning_rate, batch_size=4)
     history = nn.fit(params, len(x), loss_fn, settings, seed=3, label="toy", log_fn=log_fn)
     return params, ends, history
 
@@ -126,3 +126,10 @@ def test_fit_with_one_epoch_returns_the_final_weights():
     params, ends, _ = _fit_toy(1)
     for name, p in params.items():
         assert p.data.tobytes() == ends[0][name].tobytes()
+
+
+def test_fit_refuses_to_return_weights_that_hold_nan_or_inf():
+    # 1e39 overflows the float32 step; with one batch per epoch there is
+    # no later loss to see the weights that step leaves
+    with pytest.raises(TrainingError, match=r"^toy training ended with NaN or inf in parameter 'w'$"):
+        _fit_toy(1, learning_rate=1e39, n=4)

@@ -37,6 +37,9 @@ def test_spec_rejects_bad_inputs():
         _spec(sex="other")
     with pytest.raises(ContractError):
         _spec(noise=-0.1)
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(ContractError):
+            _spec(noise=noise)
     with pytest.raises(ContractError):
         PhantomSpec(seed=0, maturity=0.5, sex="female", image_size=(16, 64))
 

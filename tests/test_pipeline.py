@@ -16,7 +16,6 @@ import pytest
 
 from boneage import imaging
 from boneage.age_estimation import (
-    AgeConfig,
     ReferenceAtlas,
     build_age_model,
     train_age,
@@ -31,9 +30,10 @@ from boneage.errors import (
     TrainingError,
 )
 from boneage.imaging import GrayImage, load_image, save_image
+from boneage.nn import VggConfig
 from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_dataset, generate_phantom
-from boneage.roi import RoiBox, RpnConfig, build_rpn, train_roi
+from boneage.roi import RoiBox, build_rpn, train_roi
 from boneage.segmentation import UNetConfig, build_unet, train_segmentation
 from boneage.tensor import Tensor
 from boneage.pipeline import (
@@ -158,8 +158,8 @@ def _tiny_config(tmp_path):
     stage that trained with another stage's recipe would show."""
     cfg = make_config(tmp_path, seed=3)
     cfg.unet = UNetConfig(depth=2, base_channels=4, input_size=(32, 32))
-    cfg.rpn = RpnConfig(backbone_channels=(4, 8), input_size=(48, 64), hidden=16)
-    cfg.age = AgeConfig(input_size=(32, 32), backbone_channels=(4, 8), hidden=16)
+    cfg.rpn = VggConfig(backbone_channels=(4, 8), input_size=(48, 64), hidden=16)
+    cfg.age = VggConfig(input_size=(32, 32), backbone_channels=(4, 8), hidden=16)
     cfg.seg_train = TrainSettings(epochs=2, learning_rate=5e-3, batch_size=3)
     cfg.roi_train = TrainSettings(epochs=3, learning_rate=4e-3, batch_size=2)
     cfg.age_train = TrainSettings(epochs=2, learning_rate=3e-3, batch_size=1)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from boneage.errors import ConfigError, ContractError, DimensionError, TrainingError
+from boneage.errors import ContractError, DimensionError, TrainingError
 from boneage.imaging import GrayImage, resize_bilinear, rotate
+from boneage.nn import VggConfig
 from boneage.optim import TrainSettings
 from boneage.roi import (
     PREPARED_HEIGHT,
@@ -14,7 +15,6 @@ from boneage.roi import (
     RAW_HEIGHT,
     RAW_WIDTH,
     RoiBox,
-    RpnConfig,
     build_rpn,
     crop_roi,
     decode_boxes,
@@ -30,7 +30,7 @@ from boneage.tensor import Tensor
 
 from reference import chain_gather_ref, chain_sample_ref, iou_grid_ref, resize_bilinear_gather_ref
 
-SMALL = RpnConfig(backbone_channels=(4, 8, 8), input_size=(48, 64), hidden=32)
+SMALL = VggConfig(backbone_channels=(4, 8, 8), input_size=(48, 64), hidden=32)
 ONE_EPOCH = TrainSettings(epochs=1, learning_rate=2e-3, batch_size=8)
 
 
@@ -270,13 +270,6 @@ def test_lazy_frames_are_byte_identical_to_the_eager_chain(seed):
 # ---------------------------------------------------------------------------
 # network plumbing
 # ---------------------------------------------------------------------------
-
-
-def test_rpn_config_validation():
-    with pytest.raises(ConfigError):
-        RpnConfig(backbone_channels=())
-    with pytest.raises(ConfigError):
-        RpnConfig(backbone_channels=(8, 16, 32), input_size=(100, 128))
 
 
 def test_build_rpn_is_deterministic():

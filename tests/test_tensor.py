@@ -11,6 +11,7 @@ import pytest
 from boneage import nn
 from boneage import tensor as T
 from boneage.age_estimation import age_forward, build_age_model
+from boneage.config import PipelineConfig
 from boneage.errors import ContractError, DimensionError
 from boneage.roi import build_rpn, rpn_forward
 from boneage.segmentation import UNetConfig, build_unet, unet_forward
@@ -474,6 +475,7 @@ def test_max_pool2d_backward_is_byte_identical_to_where_select(seed):
     assert dx.shape == want.shape and dx.tobytes() == want.tobytes()
 
 
+# keyed by the PipelineConfig field that holds each net's default geometry
 _NETS = {
     "unet": (build_unet, unet_forward),
     "rpn": (build_rpn, rpn_forward),
@@ -485,7 +487,7 @@ def _conv_layers(monkeypatch, net):
     """(x shape without N, kernel shape, padding, relu) of every conv the
     net's default geometry runs, recorded from one forward pass."""
     build, forward = _NETS[net]
-    model = build()
+    model = build(getattr(PipelineConfig(), net))
     layers = []
     conv2d = T.conv2d
 
