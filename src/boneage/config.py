@@ -49,8 +49,8 @@ class PipelineConfig:
     confidence_threshold: float = 0.5
     augmentation: AugmentationSpec = field(default_factory=AugmentationSpec)
     unet: UNetConfig = field(default_factory=UNetConfig)
-    rpn: VggConfig = VggConfig(input_size=(96, 128))
-    age: VggConfig = VggConfig(input_size=(64, 64))
+    rpn: VggConfig = VggConfig(input_size=(64, 96))
+    age: VggConfig = VggConfig(input_size=(32, 64))
     seg_train: TrainSettings = TrainSettings(epochs=40, learning_rate=1e-3, batch_size=16)
     roi_train: TrainSettings = TrainSettings(epochs=60, learning_rate=2e-3, batch_size=8)
     age_train: TrainSettings = TrainSettings(epochs=60, learning_rate=2e-3, batch_size=8)

@@ -18,10 +18,13 @@ resize of an eager image uses t = -0.5 and s = n_in / n_out, the
 half-pixel-center resize. The blend runs in the source's orientation
 and is then transposed and reversed, so a quarter turn moves pixels
 without changing them, and crops and quarter turns of an eager image
-are exact pixel permutations. Images are values: do not mutate
-``.pixels`` in place, since a lazy image reads its source when it is
-evaluated, and a resize to an image's own size returns its input rather
-than a copy.
+are exact pixel permutations. Where both maps are unit maps in float32
+(s = 1, t = -0.5 and the source's extent, as for the localizer's
+quarter-turned input at the segmenter's grid size), every blend weight
+is 0, and that permutation is taken without blending. Images are
+values: do not mutate ``.pixels`` in place, since a lazy image reads
+its source when it is evaluated, and a resize to an image's own size
+returns its input rather than a copy.
 
 The bilinear blend (``_blend``) gives every output pixel the same
 float32 operations in the same order as a direct 2-D gather (x-blend of
@@ -71,10 +74,16 @@ class GrayImage:
     def pixels(self) -> np.ndarray:
         if self._pixels is None:
             (ymap, xmap), h, w = self._maps, self.height, self.width
-            if self._swap:  # blend in the source's orientation, then transpose
+            if self._swap:  # sample in the source's orientation, then transpose
                 ymap, xmap, h, w = xmap, ymap, w, h
-            src_h, src_w = self._source.shape
-            px = _blend(self._source, *_map_taps(ymap, h, src_h), *_map_taps(xmap, w, src_w))
+            src = self._source
+            if _is_unit(ymap, h, src.shape[0]) and _is_unit(xmap, w, src.shape[1]):
+                # every blend weight is 0; adding 0.0 copies, and makes -0.0
+                # cells 0.0 as the blend's zero-weighted taps do
+                px = src[:: -1 if ymap[2] else 1, :: -1 if xmap[2] else 1] + np.float32(0.0)
+                np.clip(px, 0.0, 1.0, out=px)
+            else:
+                px = _blend(src, *_map_taps(ymap, h, src.shape[0]), *_map_taps(xmap, w, src.shape[1]))
             self._pixels = np.ascontiguousarray(px.T) if self._swap else px
         return self._pixels
 
@@ -195,6 +204,13 @@ def _bilinear_sample(px: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarr
     top = px[y0, x0] * (1.0 - fx) + px[y0, x1] * fx
     bot = px[y1, x0] * (1.0 - fx) + px[y1, x1] * fx
     return top * (1.0 - fy) + bot * fy
+
+
+def _is_unit(axis_map, n_out: int, n_src: int) -> bool:
+    """Whether an axis's map, in the float32 that ``_map_taps`` computes
+    in, reads source index k (or n - 1 - k) at output index k."""
+    s, t, _ = axis_map
+    return n_out == n_src and np.float32(s) == 1.0 and np.float32(t) == -0.5
 
 
 def _map_taps(axis_map, n_out: int, n_src: int):

@@ -8,7 +8,6 @@ gradient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -31,8 +30,13 @@ class TrainSettings:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 < self.learning_rate < math.inf:
-            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        # the update runs in float32, which overflows above about 3.4e38
+        with np.errstate(over="ignore"):
+            step_finite = np.isfinite(np.float32(self.learning_rate))
+        if not (self.learning_rate > 0 and step_finite):
+            raise ConfigError(
+                f"learning_rate must be finite in float32 and > 0, got {self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 

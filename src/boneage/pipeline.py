@@ -3,9 +3,10 @@
 The prediction path runs load -> segment (720x480 bone image) ->
 prepare (720x960) -> localize -> crop -> estimate age. The 720-scale
 images are lazy (see ``imaging``): their resizes, quarter turn and crop
-compose into one map per axis over the segmenter's net-size bone image,
-so the localizer input and the crop are each one bilinear sample of
-it, and the full frames are built only where they are written out
+compose into one map per axis over the segmenter's net-size bone image.
+The crop (32x64 by default) is one bilinear sample of it; the localizer
+input, at the default 64x96, is its quarter turn and blends nothing;
+and the full frames are built only where they are written out
 (``dump_dir``). The localization stage is teacher-forced: exact
 phantom masks and boxes are pushed through the same geometric chain
 the predictor uses. The age stage instead crops from the *trained

@@ -8,10 +8,13 @@ log-scale extents, and a confidence logit scoring whether the input
 shows a real joint at all.
 
 Input standardization: the 720x480 bone image is rotated a quarter
-turn so the limb axis runs vertically, then resized to 720x960. The
-network itself runs at 96x128 (the same 3:4 aspect, 2/15 of the
-standardized size on both axes), so box coordinates move between the
-two scales by a uniform factor of 7.5.
+turn so the limb axis runs vertically, then resized to 720x960, the
+frame that ``predict_roi`` reports boxes in. The network itself runs at
+64x96 by default: the segmenter's 96x64 grid turned a quarter, so its
+input is that turn of the net-size bone image, pixel for pixel, with no
+resampling (see ``imaging``). Box coordinates move between the net
+input and the 720x960 frame by one factor per axis (11.25 across and 10
+down at the defaults).
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -508,21 +509,27 @@ def test_train_roi_rejects_zero_channels_before_training(tmp_path, capsys):
 @pytest.mark.parametrize(
     "rate, message",
     [
-        ("nan", "learning_rate must be finite and > 0, got nan"),
-        ("inf", "learning_rate must be finite and > 0, got inf"),
-        # finite, but the float32 step overflows; one batch, so no later
+        ("nan", "learning_rate must be finite in float32 and > 0, got nan"),
+        ("inf", "learning_rate must be finite in float32 and > 0, got inf"),
+        # finite, but not in float32: refused at load, before any step
+        ("1e39", "learning_rate must be finite in float32 and > 0, got 1e+39"),
+        # finite in float32, but the step overflows; one batch, so no later
         # loss sees the weights it leaves
-        ("1e39", "seg training ended with NaN or inf in parameter 'enc0.conv1.w'"),
+        ("3.4e38", "seg training ended with NaN or inf in parameter 'enc0.conv1.w'"),
     ],
-    ids=["nan", "inf", "1e39"],
+    ids=["nan", "inf", "1e39", "3.4e38"],
 )
 def test_train_refuses_a_learning_rate_that_leaves_non_finite_weights(tmp_path, capsys, rate, message):
     ini = tmp_path / "f.ini"
     ini.write_text(TINY_INI.replace("[segmentation]\n", f"[segmentation]\nlearning_rate = {rate}\n", 1)
                    + f"\n[paths]\nout_dir = {tmp_path}/out\n")
-    assert main(["train-seg", "--count", "4", "--epochs", "1", "--config", str(ini)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train-seg", "--count", "4", "--epochs", "1", "--config", str(ini)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out" / "seg.ckpt").exists()
+    if message.startswith("learning_rate"):  # a config error warns nothing
+        assert [str(w.message) for w in caught] == []
 
 
 def test_selftest_passes_on_the_bundled_table(capsys):

@@ -31,7 +31,10 @@ def test_defaults_without_a_file():
     assert cfg.seg_checkpoint == Path("out/seg.ckpt")
     assert cfg.confidence_threshold == 0.5
     assert cfg.unet.depth == 3
-    assert cfg.rpn.input_size == (96, 128)
+    # the localizer reads the quarter-turned 96x64 segmenter grid, the age
+    # net a crop near the joint box's extent and aspect
+    assert cfg.rpn.input_size == (64, 96)
+    assert cfg.age.input_size == (32, 64)
     assert cfg.augmentation == AugmentationSpec()
     assert cfg.phantom.train_count == 200
 
@@ -216,9 +219,11 @@ def test_train_settings_validation():
         TrainSettings(epochs=1, learning_rate=0.0, batch_size=1)
     with pytest.raises(ConfigError):
         TrainSettings(epochs=1, learning_rate=0.1, batch_size=0)
-    for rate in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="learning_rate must be finite"):
+    # 1e39 is finite, but the float32 update cannot hold it
+    for rate in (float("nan"), float("inf"), 1e39, -1e39):
+        with pytest.raises(ConfigError, match="learning_rate must be finite in float32"):
             TrainSettings(epochs=1, learning_rate=rate, batch_size=1)
+    assert TrainSettings(epochs=1, learning_rate=3.4e38, batch_size=1).learning_rate == 3.4e38
 
 
 def test_zero_epochs_rejected():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from boneage import imaging
 from boneage.errors import ContractError, ImageIOError
 from boneage.imaging import (
     GrayImage,
@@ -225,8 +226,8 @@ def test_resize_extreme_scales_are_byte_identical(src, dst):
     [
         ((96, 64), (720, 480)),  # segment: masked net-size bone image to the working frame
         ((480, 720), (720, 960)),  # prepare_roi_input after the quarter turn
-        ((720, 960), (96, 128)),  # predict_roi: localizer input
-        ((173, 141), (64, 64)),  # crop_roi: box patch to the age-net patch
+        ((720, 960), (64, 96)),  # predict_roi: localizer input
+        ((173, 141), (32, 64)),  # crop_roi: box patch to the age-net patch
     ],
 )
 def test_resize_pipeline_shapes_are_byte_identical(src_wh, dst_wh):
@@ -396,6 +397,26 @@ def test_lazy_chain_is_byte_identical_to_the_eager_chain(seed):
             _, x0, y0, x1, y1 = step
             px = px[y0:y1, x0:x1]
     assert lazy.pixels.tobytes() == np.ascontiguousarray(px).tobytes()
+
+
+@pytest.mark.parametrize("turns", range(4))
+def test_a_chain_back_to_the_source_grid_is_taken_without_a_blend(monkeypatch, turns):
+    """The pipeline's chain to the localizer (up to 720x480, a quarter
+    turn, up to 720x960, down to the net) composes to unit maps in float32
+    when the net is the turned source grid: the gather's bytes, which are
+    ``np.rot90``'s, and no pixel is blended."""
+    rng = np.random.default_rng(40 + turns)
+    px = rng.random((64, 96), dtype=np.float32)
+    px[:, :30] = 0.0
+    frame, net = ((720, 960), (64, 96)) if turns % 2 else ((960, 720), (96, 64))
+    steps = [("resize", 720, 480), ("turn", turns), ("resize", *frame), ("resize", *net)]
+    want = chain_gather_ref(px, steps)
+    assert want.tobytes() == np.ascontiguousarray(np.rot90(px, turns)).tobytes()
+    lazy = GrayImage(px)
+    for step in steps:
+        lazy = rotate(lazy, 90.0 * step[1]) if step[0] == "turn" else resize_bilinear(lazy, *step[1:])
+    monkeypatch.setattr(imaging, "_blend", lambda *args: pytest.fail("blended"))
+    assert lazy.pixels.tobytes() == want.tobytes()
 
 
 def test_lazy_image_evaluates_once_and_leaves_its_source_alone():

@@ -19,17 +19,25 @@ _TRUNK = [
     ("block2.conv2.w", (32, 32, 3, 3)), ("block2.conv2.b", (32,)),
 ]
 
+
+def _fc_rows(net):
+    """The flattened last block at the default geometry: 32 channels of
+    maps three pools smaller than the input."""
+    w, h = getattr(PipelineConfig(), net).input_size
+    return 32 * (h // 8) * (w // 8)
+
+
 # net -> (builder, its parameters at the default geometry in draw order,
 # which is also the checkpoint manifest's order)
 _NETS = {
     "rpn": (build_rpn, _TRUNK + [
-        ("fc.w", (32 * 12 * 16, 64)), ("fc.b", (64,)),
+        ("fc.w", (_fc_rows("rpn"), 64)), ("fc.b", (64,)),
         ("head_center.w", (64, 2)), ("head_center.b", (2,)),
         ("head_size.w", (64, 2)), ("head_size.b", (2,)),
         ("head_conf.w", (64, 1)), ("head_conf.b", (1,)),
     ]),
     "age": (build_age_model, _TRUNK + [
-        ("fc.w", (32 * 8 * 8, 64)), ("fc.b", (64,)),
+        ("fc.w", (_fc_rows("age"), 64)), ("fc.b", (64,)),
         ("head_class.w", (64, 12)), ("head_class.b", (12,)),
     ]),
 }

@@ -129,7 +129,8 @@ def test_fit_with_one_epoch_returns_the_final_weights():
 
 
 def test_fit_refuses_to_return_weights_that_hold_nan_or_inf():
-    # 1e39 overflows the float32 step; with one batch per epoch there is
-    # no later loss to see the weights that step leaves
+    # 3.4e38 is finite in float32, but its step overflows for a gradient
+    # above about 1; with one batch per epoch there is no later loss to
+    # see the weights that step leaves
     with pytest.raises(TrainingError, match=r"^toy training ended with NaN or inf in parameter 'w'$"):
-        _fit_toy(1, learning_rate=1e39, n=4)
+        _fit_toy(1, learning_rate=3.4e38, n=4)

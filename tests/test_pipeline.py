@@ -21,7 +21,8 @@ from boneage.age_estimation import (
     train_age,
 )
 from boneage.checkpoint import save_checkpoint
-from boneage.config import load_config, rebase_out
+from boneage.cli import main
+from boneage.config import PipelineConfig, load_config, rebase_out
 from boneage.errors import (
     CheckpointError,
     ContractError,
@@ -33,7 +34,7 @@ from boneage.imaging import GrayImage, load_image, save_image
 from boneage.nn import VggConfig
 from boneage.optim import TrainSettings
 from boneage.phantom import PhantomSpec, generate_dataset, generate_phantom
-from boneage.roi import RoiBox, build_rpn, train_roi
+from boneage.roi import RAW_HEIGHT, RAW_WIDTH, RoiBox, build_rpn, prepare_roi_input, train_roi
 from boneage.segmentation import UNetConfig, build_unet, train_segmentation
 from boneage.tensor import Tensor
 from boneage.pipeline import (
@@ -257,6 +258,11 @@ def test_load_prefixes_corrupt_checkpoint_errors(tmp_path):
         Pipeline.load(cfg)
 
 
+# the age net's flattened last block at the default crop: 32 channels of
+# maps three pools smaller than the crop
+_AGE_FC_ROWS = 32 * (PipelineConfig().age.height // 8) * (PipelineConfig().age.width // 8)
+
+
 @pytest.mark.parametrize(
     "stage, changes, reason",
     [
@@ -264,7 +270,8 @@ def test_load_prefixes_corrupt_checkpoint_errors(tmp_path):
          "parameter names do not match model"),
         ("localization", {"backbone_channels": (4, 8, 16)},
          "'block0.conv1.w' has shape (4, 1, 3, 3), model expects (8, 1, 3, 3)"),
-        ("age", {"hidden": 32}, "'fc.w' has shape (2048, 32), model expects (2048, 64)"),
+        ("age", {"hidden": 32},
+         f"'fc.w' has shape ({_AGE_FC_ROWS}, 32), model expects ({_AGE_FC_ROWS}, 64)"),
     ],
     ids=list(STAGES),
 )
@@ -279,6 +286,36 @@ def test_load_rejects_checkpoint_from_a_different_geometry(tmp_path, stage, chan
         save_checkpoint(getattr(cfg, checkpoint), build(net, seed=0).params)
     with pytest.raises(CheckpointError, match=f"^{stage}: .*{re.escape(reason)}"):
         Pipeline.load(cfg)
+
+
+@pytest.mark.parametrize(
+    "stage, old_size, reason",
+    [
+        ("localization", (96, 128), "'fc.w' has shape (6144, 64), model expects (3072, 64)"),
+        ("age", (64, 64), "'fc.w' has shape (2048, 64), model expects (1024, 64)"),
+    ],
+    ids=["localization", "age"],
+)
+def test_load_refuses_a_checkpoint_at_the_earlier_default_geometry(
+    tmp_path, capsys, stage, old_size, reason
+):
+    """A localizer trained at 96x128 or an age net at a 64x64 crop, the
+    defaults before both were sized to the pixels they are given, is
+    refused under today's defaults, and nothing is predicted."""
+    cfg = make_config(tmp_path)
+    for name, (build, geometry, checkpoint, _) in STAGES.items():
+        net = getattr(cfg, geometry)
+        if name == stage:
+            net = replace(net, input_size=old_size)
+        save_checkpoint(getattr(cfg, checkpoint), build(net, seed=0).params)
+    with pytest.raises(CheckpointError, match=f"^{stage}: .*{re.escape(reason)}"):
+        Pipeline.load(cfg)
+    image = tmp_path / "case.pgm"
+    save_image(_sample(5).image, image)
+    assert main(["predict", str(image), "--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {stage}: ") and reason in err
+    assert not (tmp_path / "predictions.csv").exists()
 
 
 def test_load_refuses_an_age_checkpoint_with_the_retired_regression_head(tmp_path):
@@ -376,9 +413,25 @@ def test_prediction_without_dumps_builds_no_720_scale_frame(tmp_path, monkeypatc
     want = pipe.predict_image(image).format_line()
     produced = _count_blended_pixels(monkeypatch)
     assert pipe.predict_image(image).format_line() == want
-    # one sample of the net-size bone image for the localizer input and
-    # one for the crop; the 720x480 and 720x960 frames would be 1.04 Mpix
-    assert sum(produced) == 96 * 128 + 64 * 64 == 16_384
+    # one sample of the net-size bone image, for the crop; the localizer
+    # input is its quarter turn, taken without a blend, and the 720x480
+    # and 720x960 frames would be 1.04 Mpix
+    age = pipe.config.age
+    assert produced == [age.width * age.height] == [32 * 64]
+
+
+def test_localizer_input_is_the_quarter_turned_segmenter_grid(monkeypatch):
+    """At the default geometry the localizer reads the net-size bone
+    image turned a quarter, byte for byte, and no pixel is blended."""
+    cfg = PipelineConfig()
+    assert cfg.rpn.input_size == (cfg.unet.height, cfg.unet.width)
+    small = masked_bone_image(_sample(5))  # the phantom canvas is the U-Net's grid
+    assert (small.width, small.height) == cfg.unet.input_size
+    bone = imaging.resize_bilinear(small, RAW_WIDTH, RAW_HEIGHT)  # as ``segment`` returns it
+    produced = _count_blended_pixels(monkeypatch)
+    net_input = imaging.resize_bilinear(prepare_roi_input(bone), cfg.rpn.width, cfg.rpn.height)
+    assert net_input.pixels.tobytes() == np.rot90(small.pixels).tobytes()
+    assert produced == []
 
 
 def test_dumps_build_the_full_frames(tmp_path, monkeypatch):
@@ -391,7 +444,8 @@ def test_dumps_build_the_full_frames(tmp_path, monkeypatch):
     assert 720 * 480 in produced and 720 * 960 in produced
     sizes = {name: load_image(dump / f"{name}.pgm") for name in ("mask", "bone", "prepared", "crop")}
     assert {k: (v.width, v.height) for k, v in sizes.items()} == {
-        "mask": (96, 64), "bone": (720, 480), "prepared": (720, 960), "crop": (64, 64)
+        "mask": (96, 64), "bone": (720, 480), "prepared": (720, 960),
+        "crop": pipe.config.age.input_size,
     }
 
 
@@ -403,7 +457,7 @@ _COLD_PREDICT = """
 import sys
 from pathlib import Path
 import boneage.cli
-from boneage.config import load_config, rebase_out
+from boneage.config import PipelineConfig, load_config, rebase_out
 from boneage.pipeline import Pipeline
 cfg = load_config(None)
 rebase_out(cfg, Path(sys.argv[1]))
