@@ -24,19 +24,14 @@ from .optim import TrainSettings
 from .tensor import Tensor, softmax_cross_entropy
 
 
-def default_atlas_classes() -> List[Tuple[str, float]]:
-    """The canonical class list: female then male, ages 120..180."""
-    return [(sex, 120.0 + 12.0 * i) for sex in ("female", "male") for i in range(6)]
-
-
-NUM_CLASSES = len(default_atlas_classes())
-
-
 @dataclass(frozen=True)
 class ReferenceAtlas:
-    """The fixed (sex, age_months) class table; class i is row i."""
+    """The fixed (sex, age_months) class table; class i is row i: female
+    then male, ages 120..180."""
 
-    classes: ClassVar[Tuple[Tuple[str, float], ...]] = tuple(default_atlas_classes())
+    classes: ClassVar[Tuple[Tuple[str, float], ...]] = tuple(
+        (sex, 120.0 + 12.0 * i) for sex in ("female", "male") for i in range(6)
+    )
 
     @property
     def min_age(self) -> float:
@@ -83,18 +78,12 @@ class AgeEstimate:
     class_scores: np.ndarray
     nearest_class: int
 
-    def __post_init__(self):
-        total = float(np.sum(self.class_scores))
-        if abs(total - 1.0) > 1e-6:
-            raise ContractError(f"class scores sum to {total}, not 1")
-        if int(np.argmax(self.class_scores)) != self.nearest_class:
-            raise ContractError("nearest_class must be the argmax of class_scores")
-
 
 # ---------------------------------------------------------------------------
 # the network
 # ---------------------------------------------------------------------------
 
+NUM_CLASSES = len(ReferenceAtlas.classes)
 AGE_HEADS = {"head_class": NUM_CLASSES}
 
 

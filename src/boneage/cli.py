@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import pipeline as pl
-from .age_estimation import default_atlas_classes
+from .age_estimation import ReferenceAtlas
 from .augmentation import LabeledImage, augment_dataset
 from .checkpoint import write_atomic
 from .config import PipelineConfig, load_config, rebase_out
@@ -97,24 +97,11 @@ def _log_fn(args):
     return (lambda msg: print(msg)) if args.verbose else None
 
 
-def _read_csv_pairs(path: Path) -> List:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ContractError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.DictReader(text.splitlines()))
-    if not rows:
-        raise ContractError(f"{path}: no data rows")
-    out = []
-    for lineno, row in enumerate(rows, start=2):  # line 1 is the header
-        try:
-            case_id, months = row["id"], float(row["months"])
-        except (KeyError, TypeError, ValueError):
-            raise ContractError(f"{path}: needs columns id,months") from None
-        if not math.isfinite(months):
-            raise ContractError(f"{path}:{lineno}: months must be finite, got {row['months']!r}")
-        out.append((case_id, months))
-    return out
+def _write_csv(path: Path, header: List[str], rows) -> None:
+    """Write the header and rows as one CSV file, atomically."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    write_atomic(path, text.getvalue().encode("ascii"))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +131,7 @@ def _default_references(config: PipelineConfig) -> List[LabeledImage]:
     """One phantom per atlas class, on the configured canvas and noise,
     from a seed stream apart from the training phantoms'."""
     refs = []
-    for i, (sex, age) in enumerate(default_atlas_classes()):
+    for i, (sex, age) in enumerate(ReferenceAtlas.classes):
         spec = PhantomSpec(
             seed=config.seed + 500_000 + i,
             maturity=(age - AGE_MIN_MONTHS) / (AGE_MAX_MONTHS - AGE_MIN_MONTHS),
@@ -267,26 +254,23 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
         record = pipe.predict_path(image_path, dump_dir=dump)
         print(record.format_line())
         rows.append((stem, record.age_months))
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["id", "months"])
-    writer.writerows(rows)
-    write_atomic(pred_csv, text.getvalue().encode("ascii"))
+    _write_csv(pred_csv, ["id", "months"], rows)
     return 0
 
 
 def _cmd_eval(args, config: PipelineConfig) -> int:
-    from .metrics import evaluate
-    predictions = _read_csv_pairs(args.predictions)
-    labels = _read_csv_pairs(args.labels)
+    from .metrics import evaluate, read_table
+    # a failed call leaves no report.csv, not an earlier call's
+    report_csv = config.out_dir / "report.csv"
+    report_csv.unlink(missing_ok=True)
+    predictions, labels = [
+        read_table(path, Path(path).read_text(encoding="utf-8"), ("id", "months"))
+        for path in (args.predictions, args.labels)
+    ]
     report = evaluate(predictions, labels)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    report_csv = config.out_dir / "report.csv"
-    with report_csv.open("w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["case_id", "expert_months", "system_months", "abs_error"])
-        for case_id, expert, system in report.cases:
-            writer.writerow([case_id, f"{expert:g}", f"{system:g}", f"{abs(expert - system):g}"])
+    rows = [(i, f"{e:g}", f"{s:g}", f"{abs(e - s):g}") for i, e, s in report.cases]
+    _write_csv(report_csv, ["case_id", "expert_months", "system_months", "abs_error"], rows)
     for line in report.format_lines():
         print(line)
     print(f"report: {report_csv}")
@@ -296,9 +280,8 @@ def _cmd_eval(args, config: PipelineConfig) -> int:
 def _cmd_selftest(args, config: PipelineConfig) -> int:
     from .metrics import selftest_report
     report = selftest_report()
-    print(f"cases: {report.count}")
-    print(f"mae_months: {report.mae_months:.4f}")
-    print(f"mape: {report.mape:.6f}")
+    for line in report.format_lines()[:3]:
+        print(line)
     ok = abs(report.mae_months - 2.8) <= 0.005 and abs(report.mape - 0.0182) <= 0.0005
     print("selftest: PASS" if ok else "selftest: FAIL")
     return 0 if ok else 1
@@ -321,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         config = _load_config(args)
         return _COMMANDS[args.command](args, config)
-    except BoneAgeError as exc:
+    except (BoneAgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -87,17 +87,6 @@ class GrayImage:
             self._pixels = np.ascontiguousarray(px.T) if self._swap else px
         return self._pixels
 
-    @classmethod
-    def from_array(cls, a, clip: bool = False) -> "GrayImage":
-        a = np.asarray(a, dtype=np.float32)
-        if clip:
-            a = np.clip(a, 0.0, 1.0)
-        elif a.size and (a.min() < 0.0 or a.max() > 1.0):
-            raise ContractError(
-                f"pixel values outside [0, 1]: min={float(a.min())}, max={float(a.max())}"
-            )
-        return cls(a)
-
     def __repr__(self) -> str:
         state = "lazy" if self._pixels is None else "eager"
         return f"GrayImage({self.width}x{self.height}, {state})"
@@ -158,7 +147,7 @@ def _read_png(path: Path) -> GrayImage:
     except (OSError, ValueError) as exc:
         raise ImageIOError(f"cannot read image {path}: {exc}") from exc
     lum = rgb @ _RGB_WEIGHTS
-    return GrayImage.from_array(lum / np.float32(255.0), clip=True)
+    return GrayImage(np.clip(lum / np.float32(255.0), 0.0, 1.0))
 
 
 def load_image(path) -> GrayImage:
@@ -305,7 +294,7 @@ def rotate(img: GrayImage, degrees: float) -> GrayImage:
     inside = (src_x >= 0) & (src_x <= w - 1) & (src_y >= 0) & (src_y <= h - 1)
     out = _bilinear_sample(img.pixels, src_x, src_y)
     out = np.where(inside, out, np.float32(0.0))
-    return GrayImage.from_array(out, clip=True)
+    return GrayImage(np.clip(out, 0.0, 1.0))
 
 
 def flip_horizontal(img: GrayImage) -> GrayImage:

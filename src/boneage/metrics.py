@@ -9,9 +9,9 @@ is 2.8 months and its MAPE is about 0.0182.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -96,30 +96,36 @@ def evaluate(
     return MetricsReport(cases=cases, mae_months=mae(expert, system), mape=mape(expert, system))
 
 
-def load_reference_table(path=None) -> List[Tuple[str, float, float]]:
-    """Read (case_id, expert_months, system_months) rows from a CSV.
+def read_table(source, text: str, columns: Sequence[str]) -> List[tuple]:
+    """Read a CSV text's data rows as (id, floats...): the first of
+    ``columns`` is the id, the rest must be finite numbers. ``source``
+    names the text in errors, with the line for a bad cell."""
+    reader = csv.DictReader(text.splitlines())
+    out = []
+    for row in reader:
+        if any(row.get(c) is None for c in columns):
+            raise ContractError(f"{source}: needs columns {','.join(columns)}")
+        values = []
+        for c in columns[1:]:
+            cell = f"{source}:{reader.line_num}: {c} must be"
+            try:
+                values.append(float(row[c]))
+            except ValueError:
+                raise ContractError(f"{cell} a number, got {row[c]!r}") from None
+            if not math.isfinite(values[-1]):
+                raise ContractError(f"{cell} finite, got {row[c]!r}")
+        out.append((row[columns[0]], *values))
+    if not out:
+        raise ContractError(f"{source}: no data rows")
+    return out
 
-    With no path, reads the reference table bundled with the package.
-    """
-    if path is None:
-        src = resources.files("boneage").joinpath("data/table1.csv")
-        text = src.read_text(encoding="ascii")
-    else:
-        text = Path(path).read_text(encoding="ascii")
-    rows = list(csv.DictReader(text.splitlines()))
-    if not rows:
-        raise ContractError("case table is empty")
-    cases = []
-    for row in rows:
-        try:
-            cases.append(
-                (row["case_id"], float(row["expert_months"]), float(row["system_months"]))
-            )
-        except (KeyError, TypeError, ValueError):
-            raise ContractError(
-                "case table needs case_id, expert_months, system_months columns"
-            ) from None
-    return cases
+
+def load_reference_table() -> List[Tuple[str, float, float]]:
+    """The reference table bundled with the package, as (case_id,
+    expert_months, system_months) rows."""
+    src = resources.files("boneage").joinpath("data/table1.csv")
+    columns = ("case_id", "expert_months", "system_months")
+    return read_table(src, src.read_text(encoding="ascii"), columns)
 
 
 def selftest_report() -> MetricsReport:

@@ -82,14 +82,12 @@ def init_dense(
     params[f"{name}.b"] = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
 
-def conv_relu(x: Tensor, params: Dict[str, Tensor], name: str, padding: int = 1) -> Tensor:
-    return T.conv2d(x, params[f"{name}.w"], params[f"{name}.b"], stride=1, padding=padding, relu=True)
-
-
 def conv_block(x: Tensor, params: Dict[str, Tensor], name: str) -> Tensor:
     """Two padded 3x3 conv+relu layers, the standard double-conv block."""
-    x = conv_relu(x, params, f"{name}.conv1")
-    return conv_relu(x, params, f"{name}.conv2")
+    for conv in ("conv1", "conv2"):
+        w, b = params[f"{name}.{conv}.w"], params[f"{name}.{conv}.b"]
+        x = T.conv2d(x, w, b, stride=1, padding=1, relu=True)
+    return x
 
 
 def init_conv_block(

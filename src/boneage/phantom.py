@@ -95,8 +95,6 @@ def _segment_distance(gx, gy, start, end):
     ex, ey = end
     vx, vy = ex - sx, ey - sy
     norm2 = vx * vx + vy * vy
-    if norm2 == 0.0:
-        return np.hypot(gx - sx, gy - sy)
     t = np.clip(((gx - sx) * vx + (gy - sy) * vy) / norm2, 0.0, 1.0)
     return np.hypot(gx - (sx + t * vx), gy - (sy + t * vy))
 
@@ -118,7 +116,7 @@ def generate_phantom(spec: PhantomSpec) -> PhantomSample:
     img = np.clip(img, 0.0, 1.0)
 
     return PhantomSample(
-        image=GrayImage.from_array(img.astype(np.float32)),
+        image=GrayImage(img.astype(np.float32)),
         bone_mask=GrayImage(mask.astype(np.float32)),
         roi=box,
         age_months=spec.age_months,

@@ -162,14 +162,13 @@ def deployed_age_crop(
     seg_model: Model,
     sample: PhantomSample,
     crop_size: Tuple[int, int],
-    box: Optional[RoiBox] = None,
+    box: RoiBox,
 ) -> GrayImage:
     """Joint crop exactly as prediction produces it: the image is
     masked by the trained segmenter before the geometric chain."""
     _, bone = segment(seg_model, sample.image)
     prepared = prepare_roi_input(bone)
-    target = box if box is not None else prepared_box(sample)
-    return crop_roi(prepared, target, crop_size[0], crop_size[1])
+    return crop_roi(prepared, box, crop_size[0], crop_size[1])
 
 
 def age_data_deployed(

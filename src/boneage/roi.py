@@ -119,9 +119,7 @@ def transform_box_to_prepared(box: RoiBox) -> RoiBox:
     return out.scaled(PREPARED_WIDTH / RAW_HEIGHT, PREPARED_HEIGHT / RAW_WIDTH)
 
 
-def crop_roi(
-    img: GrayImage, box: RoiBox, out_width: int = 64, out_height: int = 64
-) -> GrayImage:
+def crop_roi(img: GrayImage, box: RoiBox, out_width: int, out_height: int) -> GrayImage:
     """Cut the box out of the image and resize it to a fixed patch."""
     if not box.inside(img.width, img.height):
         raise ContractError(

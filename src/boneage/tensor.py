@@ -382,7 +382,7 @@ def conv2d(
 _POOL_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def max_pool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
+def max_pool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2.
 
     The output is the elementwise maximum of the four strided corner
@@ -391,8 +391,6 @@ def max_pool2d(x: Tensor, window: int = 2, stride: int = 2) -> Tensor:
     so a tie (common among relu zeros) sends it to one cell only.
     """
     x = _as_tensor(x)
-    if window != 2 or stride != 2:
-        raise ContractError("max_pool2d supports window=2, stride=2 only")
     if x.data.ndim != 4:
         raise DimensionError(f"max_pool2d expects a 4-d tensor, got {x.data.ndim}-d")
     h, w = x.shape[2:]

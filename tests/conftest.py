@@ -115,7 +115,7 @@ def age_errors(model: Model, atlas: ReferenceAtlas, config, samples, seg_model):
     for s in samples:
         if not s.is_true:
             continue
-        crop = deployed_age_crop(seg_model, s, config.age.input_size)
+        crop = deployed_age_crop(seg_model, s, config.age.input_size, prepared_box(s))
         est = estimate_age(model, crop, atlas)
         truths.append(s.age_months)
         preds.append(est.age_months)

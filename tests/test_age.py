@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from boneage.age_estimation import (
-    AgeEstimate,
     ReferenceAtlas,
     age_forward,
     build_age_model,
-    default_atlas_classes,
     estimate_age,
     save_atlas,
     train_age,
@@ -34,7 +32,7 @@ def _crop(seed, size=(64, 64)):
 
 
 def test_default_classes_are_six_ages_per_sex():
-    classes = default_atlas_classes()
+    classes = ReferenceAtlas.classes
     assert len(classes) == 12
     ages = sorted({age for _, age in classes})
     assert ages == [120.0, 132.0, 144.0, 156.0, 168.0, 180.0]
@@ -44,7 +42,9 @@ def test_default_classes_are_six_ages_per_sex():
 
 def test_atlas_accepts_the_canonical_layout():
     atlas = ReferenceAtlas()
-    assert list(atlas.classes) == default_atlas_classes()
+    assert list(atlas.classes) == [
+        (sex, 120.0 + 12.0 * i) for sex in ("female", "male") for i in range(6)
+    ]
     assert atlas.min_age == 120.0
     assert atlas.max_age == 180.0
     assert atlas.age_step == 12.0
@@ -69,25 +69,6 @@ def test_atlas_save_load_roundtrip(tmp_path):
     assert [int(i) for i, _, _ in rows] == list(range(12))
     assert [(sex, float(age)) for _, sex, age in rows] == list(ReferenceAtlas.classes)
     assert [p.name for p in manifest.parent.iterdir()] == ["atlas.txt"]
-
-
-# ---------------------------------------------------------------------------
-# AgeEstimate
-# ---------------------------------------------------------------------------
-
-
-def test_estimate_requires_normalized_scores():
-    scores = np.full(12, 1.0 / 12.0)
-    AgeEstimate(age_months=150.0, class_scores=scores, nearest_class=0)
-    with pytest.raises(ContractError, match="sum"):
-        AgeEstimate(age_months=150.0, class_scores=scores * 2, nearest_class=0)
-
-
-def test_estimate_requires_consistent_argmax():
-    scores = np.zeros(12)
-    scores[3] = 1.0
-    with pytest.raises(ContractError, match="argmax"):
-        AgeEstimate(age_months=150.0, class_scores=scores, nearest_class=5)
 
 
 # ---------------------------------------------------------------------------

@@ -431,9 +431,11 @@ def test_eval_rejects_mismatched_ids(workspace, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "which, months", [("predictions", "nan"), ("labels", "inf")], ids=["nan", "inf"]
+    "which, months, must",
+    [("predictions", "nan", "finite"), ("labels", "inf", "finite"), ("predictions", "abc", "a number")],
+    ids=["nan", "inf", "abc"],
 )
-def test_eval_rejects_non_finite_months(workspace, tmp_path, capsys, which, months):
+def test_eval_rejects_non_finite_months(workspace, tmp_path, capsys, which, months, must):
     _, ini = workspace
     files = {}
     for name in ("predictions", "labels"):
@@ -445,7 +447,7 @@ def test_eval_rejects_non_finite_months(workspace, tmp_path, capsys, which, mont
         "--config", str(ini), "--out", str(tmp_path / "o"),
     ]) == 1
     assert capsys.readouterr().err == (
-        f"error: {files[which]}:3: months must be finite, got '{months}'\n"
+        f"error: {files[which]}:3: months must be {must}, got '{months}'\n"
     )
     assert not (tmp_path / "o" / "report.csv").exists()
 
@@ -465,6 +467,43 @@ def test_eval_rejects_csv_without_a_needed_column(workspace, tmp_path, capsys, h
     ]) == 1
     assert capsys.readouterr().err == f"error: {pred}: needs columns id,months\n"
     assert not (tmp_path / "o" / "report.csv").exists()
+
+
+def test_failed_eval_leaves_no_report_csv(workspace, tmp_path, capsys):
+    _, ini = workspace
+    pred = tmp_path / "pred.csv"
+    pred.write_text("id,months\na,126\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,months\na,120\n")
+    out = tmp_path / "o"
+    argv = ["eval", "--predictions", str(pred), "--config", str(ini), "--out", str(out)]
+    assert main([*argv, "--labels", str(labels)]) == 0
+    assert (out / "report.csv").is_file()
+    capsys.readouterr()
+    other = tmp_path / "other.csv"
+    other.write_text("id,months\nzz,120\n")
+    assert main([*argv, "--labels", str(other)]) == 1
+    assert "id mismatch" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["phantom", "train-seg", "predict", "eval"])
+def test_an_out_path_that_is_a_file_is_an_error_not_a_traceback(workspace, tmp_path, capsys, command):
+    root, ini = workspace
+    out = tmp_path / "taken"
+    out.write_text("not a directory\n")
+    labels = tmp_path / "labels.csv"
+    labels.write_text("id,months\na,120\n")
+    extra = {
+        "phantom": ["--count", "1"],
+        "train-seg": ["--count", "4"],
+        "predict": [str(root / "out" / "phantoms" / "ph0002.pgm")],
+        "eval": ["--predictions", str(labels), "--labels", str(labels)],
+    }[command]
+    assert main([command, *extra, *_args(ini), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert out.read_text() == "not a directory\n"
 
 
 def test_percent_in_config_exits_with_error(tmp_path, capsys):

@@ -49,15 +49,6 @@ def test_grayimage_rejects_empty():
         GrayImage(np.zeros((0, 4), dtype=np.float32))
 
 
-def test_from_array_range_check_and_clip():
-    with pytest.raises(ContractError):
-        GrayImage.from_array([[0.0, 1.5]])
-    with pytest.raises(ContractError):
-        GrayImage.from_array([[-0.1, 0.5]])
-    img = GrayImage.from_array([[-0.1, 1.5]], clip=True)
-    assert img.pixels.tolist() == [[0.0, 1.0]]
-
-
 def test_width_height_follow_array_shape():
     img = GrayImage(np.zeros((3, 7), dtype=np.float32))
     assert (img.width, img.height) == (7, 3)

@@ -10,6 +10,7 @@ from boneage.metrics import (
     load_reference_table,
     mae,
     mape,
+    read_table,
     selftest_report,
 )
 
@@ -150,22 +151,25 @@ def test_selftest_pins_the_published_errors():
     assert report.mape == pytest.approx(0.0182, abs=0.0005)
 
 
-def test_load_reference_table_from_custom_path(tmp_path):
-    p = tmp_path / "cases.csv"
-    p.write_text("case_id,expert_months,system_months\nx,120,126\n")
-    cases = load_reference_table(p)
-    assert cases == [("x", 120.0, 126.0)]
+CASE_COLUMNS = ("case_id", "expert_months", "system_months")
 
 
-def test_load_reference_table_rejects_bad_columns(tmp_path):
-    p = tmp_path / "bad.csv"
-    p.write_text("id,months\nx,120\n")
+def test_read_table_from_custom_text():
+    text = "case_id,expert_months,system_months\nx,120,126\n"
+    assert read_table("cases.csv", text, CASE_COLUMNS) == [("x", 120.0, 126.0)]
+
+
+def test_read_table_rejects_bad_columns():
     with pytest.raises(ContractError, match="columns"):
-        load_reference_table(p)
+        read_table("bad.csv", "id,months\nx,120\n", CASE_COLUMNS)
 
 
-def test_load_reference_table_rejects_empty(tmp_path):
-    p = tmp_path / "empty.csv"
-    p.write_text("case_id,expert_months,system_months\n")
-    with pytest.raises(ContractError, match="empty"):
-        load_reference_table(p)
+def test_read_table_rejects_empty():
+    with pytest.raises(ContractError, match="no data rows"):
+        read_table("empty.csv", "case_id,expert_months,system_months\n", CASE_COLUMNS)
+
+
+def test_read_table_names_the_line_a_bad_cell_is_on():
+    # blank lines are skipped as rows but still counted as lines
+    with pytest.raises(ContractError, match=r"^t\.csv:4: months must be finite, got 'nan'$"):
+        read_table("t.csv", "id,months\n\na,1\nb,nan\n", ("id", "months"))

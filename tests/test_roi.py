@@ -167,7 +167,7 @@ def test_transform_box_to_prepared_tracks_pixels():
 
 def test_crop_returns_requested_patch_size():
     img = GrayImage(np.random.default_rng(1).random((100, 100), dtype=np.float32))
-    patch = crop_roi(img, RoiBox(10, 20, 30, 40))
+    patch = crop_roi(img, RoiBox(10, 20, 30, 40), 64, 64)
     assert (patch.width, patch.height) == (64, 64)
     patch = crop_roi(img, RoiBox(10, 20, 30, 40), out_width=16, out_height=24)
     assert (patch.width, patch.height) == (16, 24)
@@ -182,16 +182,16 @@ def test_crop_of_uniform_region_is_uniform():
 
 def test_crop_survives_subpixel_boxes():
     img = GrayImage(np.random.default_rng(2).random((50, 50), dtype=np.float32))
-    patch = crop_roi(img, RoiBox(10.4, 10.4, 0.1, 0.1))
+    patch = crop_roi(img, RoiBox(10.4, 10.4, 0.1, 0.1), 64, 64)
     assert (patch.width, patch.height) == (64, 64)
 
 
 def test_crop_rejects_out_of_frame_boxes():
     img = GrayImage(np.zeros((50, 50), dtype=np.float32))
     with pytest.raises(ContractError):
-        crop_roi(img, RoiBox(40, 40, 20, 20))
+        crop_roi(img, RoiBox(40, 40, 20, 20), 64, 64)
     with pytest.raises(ContractError):
-        crop_roi(img, RoiBox(-1, 0, 5, 5))
+        crop_roi(img, RoiBox(-1, 0, 5, 5), 64, 64)
 
 
 # ---------------------------------------------------------------------------
