@@ -3,7 +3,9 @@
 The reference atlas is a fixed table of twelve (sex, age) classes: six
 ages per sex at twelve-month steps (120..180 months). The model is a
 12-way classifier, the VGG-style net of ``nn`` with one softmax head
-that scores the crop's similarity to each atlas class. The estimate is
+that scores the crop's similarity to each atlas class. It trains toward
+an ordinal label distribution over the crop's own sex's classes, not a
+one-hot row, so a near miss costs less than a far one. The estimate is
 the expectation of the class ages under the softmax, which also gives
 the similarity ranking and the nearest class.
 """
@@ -22,6 +24,9 @@ from .errors import ContractError
 from .imaging import GrayImage
 from .optim import TrainSettings
 from .tensor import Tensor, softmax_cross_entropy
+
+
+TARGET_SIGMA = 8.0  # months; the spread of the training target around the true age
 
 
 @dataclass(frozen=True)
@@ -45,18 +50,18 @@ class ReferenceAtlas:
     def age_step(self) -> float:
         return 12.0
 
-    def class_of(self, sex: str, age_months: float) -> int:
-        """Index of the class of this sex with the nearest age."""
+    def target(self, sex: str, age_months: float) -> np.ndarray:
+        """The (12,) float32 class distribution a crop of this sex and age
+        trains toward: Gaussian mass of sigma TARGET_SIGMA months around
+        the age over the same-sex class ages, normalised, and zero on the
+        other sex's (DLDL, Gao et al. 2017)."""
         if sex not in ("female", "male"):
             raise ContractError(f"sex must be 'female' or 'male', got {sex!r}")
-        best, best_d = -1, float("inf")
-        for i, (class_sex, class_age) in enumerate(self.classes):
-            if class_sex != sex:
-                continue
-            d = abs(class_age - age_months)
-            if d < best_d:
-                best, best_d = i, d
-        return best
+        if not np.isfinite(age_months):
+            raise ContractError(f"age must be finite, got {age_months!r}")
+        z = np.array([(age - age_months) / TARGET_SIGMA if s == sex else np.inf for s, age in self.classes])
+        row = np.exp(-0.5 * z * z)
+        return (row / row.sum()).astype(np.float32)
 
 
 def _manifest_lines(atlas: ReferenceAtlas) -> List[str]:
@@ -121,28 +126,28 @@ def estimate_age(model: nn.Model, crop: GrayImage, atlas: ReferenceAtlas) -> Age
 
 def train_age(
     model: nn.Model,
-    dataset: Sequence[Tuple[GrayImage, int]],
+    dataset: Sequence[Tuple[GrayImage, str, float]],
     settings: TrainSettings,
     seed: int = 0,
     log_fn=None,
 ) -> Tuple[nn.Model, List[float]]:
-    """Fit on (crop, class_index) pairs with class cross-entropy.
+    """Fit on (crop, sex, age_months) triples with cross-entropy against
+    ``ReferenceAtlas.target`` of each sex and age.
 
     Returns the model and the mean loss per epoch.
     """
-    n = len(dataset)
-    crops = nn.planes([crop for crop, _ in dataset], model.config)
-    onehot = np.zeros((n, NUM_CLASSES), dtype=np.float32)
-    for i, (_, class_index) in enumerate(dataset):
-        if not 0 <= int(class_index) < NUM_CLASSES:
-            raise ContractError(
-                f"sample {i}: class index {class_index} outside [0, {NUM_CLASSES})"
-            )
-        onehot[i, int(class_index)] = 1.0
+    crops = nn.planes([crop for crop, _, _ in dataset], model.config)
+    atlas = ReferenceAtlas()
+    targets = np.empty((len(dataset), NUM_CLASSES), dtype=np.float32)
+    for i, (_, sex, age) in enumerate(dataset):
+        try:
+            targets[i] = atlas.target(sex, age)
+        except ContractError as exc:
+            raise ContractError(f"sample {i}: {exc}") from None
 
     def batch_loss(idx: np.ndarray) -> Tensor:
         logits = age_forward(model, Tensor(crops[idx]))
-        return softmax_cross_entropy(logits, Tensor(onehot[idx]))
+        return softmax_cross_entropy(logits, Tensor(targets[idx]))
 
-    history = nn.fit(model.params, n, batch_loss, settings, seed, "age", log_fn)
+    history = nn.fit(model.params, len(dataset), batch_loss, settings, seed, "age", log_fn)
     return model, history

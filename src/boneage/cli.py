@@ -97,6 +97,16 @@ def _log_fn(args):
     return (lambda msg: print(msg)) if args.verbose else None
 
 
+def _read_utf8(path) -> str:
+    """The file's text; bytes that are not UTF-8 are an error naming its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data[: exc.start].count(b"\n") + 1
+        raise ContractError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _write_csv(path: Path, header: List[str], rows) -> None:
     """Write the header and rows as one CSV file, atomically."""
     text = io.StringIO()
@@ -145,7 +155,7 @@ def _default_references(config: PipelineConfig) -> List[LabeledImage]:
 
 def _read_references(manifest: Path) -> List[LabeledImage]:
     try:
-        text = Path(manifest).read_text(encoding="utf-8")
+        text = _read_utf8(manifest)
     except OSError as exc:
         raise ContractError(f"cannot read reference manifest {manifest}: {exc}") from exc
     refs = []
@@ -158,6 +168,8 @@ def _read_references(manifest: Path) -> List[LabeledImage]:
                 f"{manifest}:{lineno}: expected `ref_id age_months sex path`"
             )
         ref_id, age_s, sex, rel = parts
+        if not ref_id.isascii():
+            raise ContractError(f"{manifest}:{lineno}: ref_id must be ASCII, got {ref_id!r}")
         try:
             age = float(age_s)
         except ValueError:
@@ -245,6 +257,8 @@ def _cmd_predict(args, config: PipelineConfig) -> int:
         stem = Path(image_path).stem
         if stem in paths:
             raise ContractError(f"{paths[stem]} and {image_path} share the id {stem!r}")
+        if not stem.isascii():
+            raise ContractError(f"{image_path}: its id {stem!r} (the file stem) must be ASCII")
         paths[stem] = image_path
     pipe = pl.Pipeline.load(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
@@ -264,7 +278,7 @@ def _cmd_eval(args, config: PipelineConfig) -> int:
     report_csv = config.out_dir / "report.csv"
     report_csv.unlink(missing_ok=True)
     predictions, labels = [
-        read_table(path, Path(path).read_text(encoding="utf-8"), ("id", "months"))
+        read_table(path, _read_utf8(path), ("id", "months"))
         for path in (args.predictions, args.labels)
     ]
     report = evaluate(predictions, labels)

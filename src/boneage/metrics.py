@@ -98,13 +98,16 @@ def evaluate(
 
 def read_table(source, text: str, columns: Sequence[str]) -> List[tuple]:
     """Read a CSV text's data rows as (id, floats...): the first of
-    ``columns`` is the id, the rest must be finite numbers. ``source``
-    names the text in errors, with the line for a bad cell."""
+    ``columns`` is the id, which must be ASCII, the rest must be finite
+    numbers. ``source`` names the text in errors, with the line for a
+    bad cell."""
     reader = csv.DictReader(text.splitlines())
     out = []
     for row in reader:
         if any(row.get(c) is None for c in columns):
             raise ContractError(f"{source}: needs columns {','.join(columns)}")
+        if not row[columns[0]].isascii():
+            raise ContractError(f"{source}:{reader.line_num}: {columns[0]} must be ASCII, got {row[columns[0]]!r}")
         values = []
         for c in columns[1:]:
             cell = f"{source}:{reader.line_num}: {c} must be"

@@ -173,13 +173,12 @@ def deployed_age_crop(
 
 def age_data_deployed(
     samples: Sequence[PhantomSample],
-    atlas: ReferenceAtlas,
     crop_size: Tuple[int, int],
     seg_model: Model,
     seed: int = 0,
-) -> List[Tuple[GrayImage, int]]:
-    """Age-training (crop, class_index) pairs cropped from the trained
-    segmenter's output.
+) -> List[Tuple[GrayImage, str, float]]:
+    """Age-training (crop, sex, age_months) triples, cropped from the
+    trained segmenter's output.
 
     Every other sample uses a perturbed box instead of the true one, so
     the age network also tolerates localization error.
@@ -194,7 +193,7 @@ def age_data_deployed(
         box = base if kept % 2 == 0 else _jitter_box(base, rng)
         kept += 1
         crop = deployed_age_crop(seg_model, s, crop_size, box=box)
-        out.append((crop, atlas.class_of(s.sex, s.age_months)))
+        out.append((crop, s.sex, s.age_months))
     return out
 
 
@@ -310,7 +309,7 @@ def train_age_stage(
     if seg_model is None:
         seg_model = load_model(config, "segmentation")
     atlas = build_phantom_atlas(config)
-    dataset = age_data_deployed(samples, atlas, config.age.input_size, seg_model, seed=config.seed)
+    dataset = age_data_deployed(samples, config.age.input_size, seg_model, seed=config.seed)
     model, history = _fit_stage(config, "age", train_age, dataset, log_fn)
     return model, atlas, history
 

@@ -29,26 +29,39 @@ span = (Ho-1)*Wp + Wo, so each tap's row of the column matrix is one run
 of span cells per (c, n). Columns j >= Wo are junk: the forward drops
 them, and the backward lays g out with them zeroed.
 
-The backward needs no column matrix (kn2row, Vasudevan et al. 2017). It
-walks the batch in groups of images and, per group, loops over taps
-(p, q), reading and writing the input's cells from flat cell p*Wp + q
-on, every stride-th. dW's (F, C) slice is the sum over images, in image
-order, of the pitched g times those cells read in place: F x C GEMMs of
-depth span, to which junk columns add zero products. At stride 1 BLAS
-reads both operands where they lie, which ``@`` allows and ``np.dot``
-(it copies them) does not. dx adds the kernel's (F, C) slice,
-transposed, times the group's pitched g into the same cells, taps in
-(p, q) order. With a finite kernel a junk column adds a signed zero; dx
-starts at +0.0, and a round-to-nearest sum is -0.0 only when both
-addends are, so dx never holds -0.0 and adding +-0.0 to it changes no bit.
+The backward needs no column matrix (kn2row, Vasudevan et al. 2017).
+It lays g out once at the same row pitch, image n from column n*nch*kc
+on, its span in nch = ceil(span/512) chunks of kc = ceil(span/nch)
+columns; g is zero in the junk columns and past the span, which add
+zero products to dW and signed zeros to dx.
+
+dW is one stacked ``@`` of each chunk's (F, kc) block of g and the
+padded input's (kc, C) cells from flat cell p*Wp + q + stride*k*kc on,
+every stride-th, read in place (at stride 1 BLAS reads both where they
+lie; ``np.dot`` would copy them). ``np.add.reduce`` sums the
+(N, nch, kh, kw, F, C) terms from +0.0, image-major: numpy's order for
+any conv but a 1x1 from one channel to one filter, which it sums
+pairwise. The last chunk overruns the span, so xp has a zeroed tail of
+stride*(nch*kc - span) floats, at padding 0 too; the forward's bytes do
+not change. A depth of at most 512 summed in a fixed order
+(reproducible summation: Demmel and Nguyen, 2015) keeps dW's bytes
+independent of the BLAS thread count: on OpenBLAS a whole-span GEMM of
+~1,700 columns rounded differently at two threads, and ran slower.
+
+dx walks the batch in groups of images and, per group, adds each tap's
+kernel (F, C) slice, transposed, times the group's g columns into the
+input's cells from flat cell p*Wp + q on, every stride-th of each
+image's span, taps in (p, q) order. With a finite kernel a junk column
+adds a signed zero; dx starts at +0.0, and a round-to-nearest sum is
+-0.0 only when both addends are, so dx never holds -0.0 and adding
++-0.0 to it changes no bit.
 
 A group is max(1, 4096 // span) images, the last one short, so its g,
 input cells and dx product, some 4096 columns each, stay in a core's L2
 across its kh*kw taps, where one pass over the whole batch streams them
 from memory once per tap (cache blocking as in Goto and van de Geijn,
-2008). Groups keep the bytes: every dW term is the same per-image GEMM,
-added in the same image order; a dx column is the same sum over F
-whichever columns share its GEMM; and each cell still takes its taps in
+2008). Groups keep the bytes: a dx column is the same sum over F
+whichever columns share its GEMM, and each cell still takes its taps in
 (p, q) order. Where N*span fits the budget the group is the whole batch.
 A one-channel input is one group too: its dx product is a one-row GEMM,
 which numpy hands to GEMV, and OpenBLAS's GEMV changes kernels with the
@@ -255,16 +268,16 @@ def _relu(a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _COL_BLOCK = 512  # the forward's column blocks; fixed (see the module notes)
-_BWD_GROUP = 4096  # the backward's columns per image group; fixed (see the module notes)
+_BWD_GROUP = 4096  # dx's columns per image group; fixed (see the module notes)
+_DW_DEPTH = 512  # the most columns of a span one dW GEMM sums; fixed (see the module notes)
 
 
-def _pitched(wide: np.ndarray, n: int, ho: int, wo: int, wp: int) -> np.ndarray:
-    """The (X, N, Ho, Wo) valid cells of an (X, N*span) matrix whose
-    columns run at row pitch wp, span = (Ho-1)*wp + Wo: a view that skips
-    the junk columns j >= Wo of each row."""
-    span = (ho - 1) * wp + wo
+def _pitched(wide: np.ndarray, n: int, ho: int, wo: int, wp: int, pitch: int) -> np.ndarray:
+    """The (X, N, Ho, Wo) valid cells of an (X, N*pitch) matrix whose
+    image n starts at column n*pitch and runs at row pitch wp: a view
+    that skips the junk columns j >= Wo of each row."""
     s = wide.itemsize
-    return np.ndarray((wide.shape[0], n, ho, wo), wide.dtype, wide, 0, (wide.strides[0], span * s, wp * s, s))
+    return np.ndarray((wide.shape[0], n, ho, wo), wide.dtype, wide, 0, (wide.strides[0], pitch * s, wp * s, s))
 
 
 def conv2d(
@@ -284,13 +297,13 @@ def conv2d(
     forward multiplies the (F, C*kh*kw) kernel matrix by the
     (C*kh*kw, N*span) column matrix, in 512-column blocks per image where
     span > 512, and copies out the valid columns.
-    Backward lays g out at the same pitch and walks the batch in groups
-    of max(1, _BWD_GROUP // span) images (one group for a one-channel
-    input). Per group and kernel tap it adds one GEMM per image against
-    the padded input read in place into dW, and that tap's kernel.T @ g
-    over the group's columns into dx, which it skips (None) for an input
-    that needs no grad. Every sum keeps the one-group order, so the
-    bytes do not depend on the grouping.
+    Backward lays g out once, each image's span in nch chunks of kc
+    columns. dW is one stacked ``@`` of those chunks against the padded
+    input's cells read in place, its (N, nch, kh, kw, F, C) terms summed
+    over images and chunks in that order. dx adds, per group of
+    max(1, _BWD_GROUP // span) images (one group for a one-channel
+    input) and kernel tap, that tap's kernel.T @ g over the group's
+    columns; it is skipped (None) for an input that needs no grad.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -310,15 +323,22 @@ def conv2d(
             f"kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
 
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=np.float32)
-        xp[:, :, padding : padding + h, padding : padding + w] = x.data
-    else:
-        xp = np.ascontiguousarray(x.data)
-    hp, wp = xp.shape[2:]
+    hp, wp = h + 2 * padding, w + 2 * padding
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     span = (ho - 1) * wp + wo
+    nch = -(-span // _DW_DEPTH)  # dW's chunks per image, kc columns each
+    kc = -(-span // nch)
+    pitch = nch * kc
+    # dW's last chunk reads stride*(pitch - span) cells past the last
+    # image's span, which lie past xp's end: a zeroed tail holds them
+    slack = stride * (pitch - span)
+    if padding or slack:
+        xbuf = np.zeros(n * c * hp * wp + slack, dtype=np.float32)
+        xp = xbuf[: n * c * hp * wp].reshape(n, c, hp, wp)
+        xp[:, :, padding : padding + h, padding : padding + w] = x.data
+    else:
+        xp = xbuf = np.ascontiguousarray(x.data)
     # column (c, p, q) of image n is xp[n, c] from flat cell p*wp + q on,
     # every stride-th of span cells: one run, never past xp's end
     s0, s1, s2, s3 = xp.strides
@@ -334,7 +354,7 @@ def conv2d(
                 block = taps[:, :, :, i, j : j + _COL_BLOCK]
                 wide[:, i, j : j + _COL_BLOCK] = np.dot(k2, block.reshape(c * kh * kw, -1))
         wide = wide.reshape(f, n * span)
-    out = np.ascontiguousarray(_pitched(wide, n, ho, wo, wp).transpose(1, 0, 2, 3))
+    out = np.ascontiguousarray(_pitched(wide, n, ho, wo, wp, span).transpose(1, 0, 2, 3))
     out += bias.data.reshape(1, f, 1, 1)
     if relu:
         _relu(out, out=out)
@@ -343,33 +363,37 @@ def conv2d(
         if relu:
             g = _keep(out > 0, g)
         db = g.sum(axis=(0, 2, 3))
-        # g in zeroed columns at pitch wp: junk columns add zero products
-        # to dW and signed zeros to dx
-        gp = np.zeros((f, n * span), dtype=np.float32)
-        _pitched(gp, n, ho, wo, wp)[...] = g.transpose(1, 0, 2, 3)
-        gn = gp.reshape(f, n, span)
-        xf = xp.reshape(n, c, hp * wp)
+        # g at pitch wp, image n from column n*pitch on, zeroed in the
+        # junk columns and past the span: those add zero products to dW
+        # and signed zeros to dx
+        gp = np.zeros((f, n * pitch), dtype=np.float32)
+        _pitched(gp, n, ho, wo, wp, pitch)[...] = g.transpose(1, 0, 2, 3)
+        sz = gp.itemsize
+        gc = np.ndarray((n, nch, 1, 1, f, kc), gp.dtype, gp, 0, (pitch * sz, kc * sz, 0, 0, gp.strides[0], sz))
+        # chunk k of image n at tap (p, q): its kc cells per channel from
+        # flat cell p*wp + q + stride*k*kc on, every stride-th
+        cells = np.ndarray(
+            (n, nch, kh, kw, kc, c), xp.dtype, xbuf, 0,
+            (s0, stride * kc * s3, s2, s3, stride * s3, s1),
+        )
         dw = np.empty((f, c, kh, kw), dtype=np.float32)
-        dxp = np.zeros((c, n, hp * wp), dtype=np.float32) if x.requires_grad else None
+        np.add.reduce((gc @ cells).reshape(n * nch, kh, kw, f, c), axis=0, out=dw.transpose(2, 3, 0, 1))
+        if not x.requires_grad:
+            return None, dw, db
+        dxp = np.zeros((c, n, hp * wp), dtype=np.float32)
         group = n if c == 1 else max(1, _BWD_GROUP // span)
+        # one product buffer for every tap and group: a fresh array per
+        # tap costs more in page faults than its GEMM on small F
+        buf = np.empty(c * min(n, group) * pitch, dtype=np.float32)
         for a in range(0, n, group):
             b = min(n, a + group)
-            ga = gp[:, a * span : b * span]
+            ga = gp[:, a * pitch : b * pitch]
+            prod = buf[: c * (b - a) * pitch].reshape(c, (b - a) * pitch)
             for p in range(kh):
                 for q in range(kw):
                     o = p * wp + q
-                    run = slice(o, o + stride * (span - 1) + 1, stride)
-                    tap = dw[:, :, p, q]
-                    for i in range(a, b):
-                        term = gn[:, i] @ xf[i, :, run].T
-                        if i:
-                            tap += term
-                        else:
-                            tap[...] = term
-                    if dxp is not None:
-                        dxp[:, a:b, run] += (kernel.data[:, :, p, q].T @ ga).reshape(c, b - a, span)
-        if dxp is None:
-            return None, dw, db
+                    np.matmul(kernel.data[:, :, p, q].T, ga, out=prod)
+                    dxp[:, a:b, o : o + stride * (span - 1) + 1 : stride] += prod.reshape(c, b - a, pitch)[:, :, :span]
         dx = dxp.reshape(c, n, hp, wp).transpose(1, 0, 2, 3)
         if padding:
             dx = dx[:, :, padding : padding + h, padding : padding + w]

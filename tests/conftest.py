@@ -204,9 +204,7 @@ def trained_stack(tmp_path_factory) -> TrainedStack:
     t0 = time.time()
     atlas = build_phantom_atlas(cfg)
     age_model = build_age_model(cfg.age, seed=cfg.seed)
-    age_pairs = age_data_deployed(
-        age_samples, atlas, cfg.age.input_size, seg_model, seed=cfg.seed
-    )
+    age_pairs = age_data_deployed(age_samples, cfg.age.input_size, seg_model, seed=cfg.seed)
     done = 0
     while done < 100:
         train_age(age_model, age_pairs, replace(cfg.age_train, epochs=5), seed=cfg.seed + done)

@@ -118,19 +118,26 @@ def conv2d_tensordot_grads_ref(x, w, g, stride=1, padding=0):
     return dxp[:, :, padding : padding + h, padding : padding + wid], dw, db
 
 
-def _pitched_g(g, wp):
-    """float32 g laid out at row pitch wp: (F, N*span) with image n's
-    output (i, j) in column n*span + i*wp + j, span = (Ho-1)*wp + Wo, and
-    zeros in the columns j >= Wo; returns it and span."""
+def _pitched_g(g, wp, depth=512):
+    """float32 g laid out as conv2d's backward reads it, and its chunking.
+
+    Each image's span = (Ho-1)*wp + Wo output columns at row pitch wp is
+    cut into nch = ceil(span/depth) chunks of kc = ceil(span/nch)
+    columns; g is (F, N*nch*kc) with image n's output (i, j) in column
+    n*nch*kc + i*wp + j, and zeros in the columns j >= Wo and past the
+    span. Returns g, span, nch and kc.
+    """
     g = np.asarray(g, dtype=np.float32)
     n, f, ho, wo = g.shape
     span = (ho - 1) * wp + wo
-    gp = np.zeros((f, n * span), dtype=np.float32)
+    nch = math.ceil(span / depth)
+    kc = math.ceil(span / nch)
+    gp = np.zeros((f, n * nch * kc), dtype=np.float32)
     for ni in range(n):
         for i in range(ho):
-            start = ni * span + i * wp
+            start = ni * nch * kc + i * wp
             gp[:, start : start + wo] = g[ni, :, i, :]
-    return gp, span
+    return gp, span, nch, kc
 
 
 def conv2d_tap_dx_ref(x, w, g, stride=1, padding=0):
@@ -138,54 +145,66 @@ def conv2d_tap_dx_ref(x, w, g, stride=1, padding=0):
 
     The byte-exact oracle for dx where the column gradient's one-GEMM
     bytes (``conv2d_tensordot_grads_ref``) are not kept, the single-channel
-    layers. ``g`` is laid out at the padded input's row pitch as in
-    ``conv2d_tap_dw_ref``; tap (p, q)'s (C, N*span) product is the
-    kernel's (F, C) slice, transposed, times that g, and its image n
-    block is added, in (p, q) order, to the padded dx's cells from flat
-    cell p*Wp + q on, every stride-th of span. The padding is cut off.
+    layers. ``g`` is laid out as in ``conv2d_tap_dw_ref``, at an image
+    pitch of nch*kc columns; tap (p, q)'s (C, N*nch*kc) product is the
+    kernel's (F, C) slice, transposed, times that g, and the first span
+    columns of its image n block are added, in (p, q) order, to the
+    padded dx's cells from flat cell p*Wp + q on, every stride-th. The
+    padding is cut off.
     """
     w = np.asarray(w, dtype=np.float32)
     f, c, kh, kw = w.shape
     n, _, h, wid = np.shape(x)
     hp, wp = h + 2 * padding, wid + 2 * padding
-    gp, span = _pitched_g(g, wp)
+    gp, span, nch, kc = _pitched_g(g, wp)
+    pitch = nch * kc
     dxp = np.zeros((n, c, hp * wp), dtype=np.float32)
     for p in range(kh):
         for q in range(kw):
             start = p * wp + q
             prod = w[:, :, p, q].T @ gp
             for ni in range(n):
-                dxp[ni, :, start : start + stride * (span - 1) + 1 : stride] += prod[:, ni * span : (ni + 1) * span]
+                dxp[ni, :, start : start + stride * (span - 1) + 1 : stride] += prod[:, ni * pitch : ni * pitch + span]
     dxp = dxp.reshape(n, c, hp, wp)
     return dxp[:, :, padding : padding + h, padding : padding + wid]
 
 
 def conv2d_tap_dw_ref(x, w, g, stride=1, padding=0):
-    """conv2d's dW as one small float32 GEMM per kernel tap and image.
+    """conv2d's dW as float32 GEMMs of at most 512 columns, summed in order.
 
-    The byte-exact oracle for dW. ``g`` is laid out at the padded
-    input's row pitch Wp: per filter, image n's output (i, j) is column
-    n*span + i*Wp + j, span = (Ho-1)*Wp + Wo, and the columns j >= Wo are
-    zero. Tap (p, q)'s (F, C) gradient is the sum, in image order, of
-    image n's g columns times the padded input's cells from flat cell
-    p*Wp + q on, every stride-th of span, transposed: the same operands,
-    read in place, that BLAS gets from the package.
+    The byte-exact oracle for dW. g is laid out by ``_pitched_g``: each
+    image's span in nch chunks of kc <= 512 columns, at an image pitch of
+    nch*kc. Chunk k of image n at tap (p, q) is that g's (F, kc) block
+    times the padded input's (kc, C) cells from flat cell
+    p*Wp + q + stride*k*kc on, every stride-th, read in place from a
+    buffer whose zeroed tail holds the last chunk's overrun: the same
+    operands, at the same strides, that ``@`` gets from the package, so
+    numpy and BLAS take the same route for them (GEMV where F or C is 1).
+    Tap (p, q)'s (F, C) gradient is +0.0 plus every (image, chunk) term
+    in image-major order. That is the order of the package's reduce
+    wherever kh*kw*F*C > 1; numpy would sum a lone cell's terms pairwise.
     """
     f, c, kh, kw = np.shape(w)
-    xp = np.pad(np.asarray(x, dtype=np.float32), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    n, _, hp, wp = xp.shape
-    gp, span = _pitched_g(g, wp)
-    flat = xp.reshape(n, c, hp * wp)
+    n = np.shape(x)[0]
+    hp, wp = np.shape(x)[2] + 2 * padding, np.shape(x)[3] + 2 * padding
+    gp, span, nch, kc = _pitched_g(g, wp)
+    plane = hp * wp
+    buf = np.zeros(n * c * plane + stride * (nch * kc - span), dtype=np.float32)
+    buf[: n * c * plane] = np.pad(
+        np.asarray(x, dtype=np.float32), ((0, 0), (0, 0), (padding, padding), (padding, padding))
+    ).reshape(-1)
+    sz = buf.itemsize
     dw = np.zeros((f, c, kh, kw), dtype=np.float32)
     for p in range(kh):
         for q in range(kw):
-            start = p * wp + q
-            acc = None
             for ni in range(n):
-                cells = flat[ni, :, start : start + stride * (span - 1) + 1 : stride]
-                term = gp[:, ni * span : (ni + 1) * span] @ cells.T
-                acc = term if acc is None else acc + term
-            dw[:, :, p, q] = acc
+                for k in range(nch):
+                    start = ni * c * plane + p * wp + q + stride * k * kc
+                    cells = np.lib.stride_tricks.as_strided(
+                        buf[start:], shape=(kc, c), strides=(stride * sz, plane * sz), writeable=False
+                    )
+                    col = (ni * nch + k) * kc
+                    dw[:, :, p, q] += gp[:, col : col + kc] @ cells
     return dw
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from boneage.age_estimation import (
+    TARGET_SIGMA,
     ReferenceAtlas,
     age_forward,
     build_age_model,
@@ -50,12 +51,17 @@ def test_atlas_accepts_the_canonical_layout():
     assert atlas.age_step == 12.0
 
 
-def test_class_of_picks_nearest_age_of_matching_sex():
+def test_target_is_gaussian_mass_over_the_same_sex_classes():
     atlas = ReferenceAtlas()
-    assert atlas.classes[atlas.class_of("male", 141.0)] == ("male", 144.0)
-    assert atlas.classes[atlas.class_of("female", 120.0)] == ("female", 120.0)
-    with pytest.raises(ContractError):
-        atlas.class_of("other", 120.0)
+    row = atlas.target("male", 141.0)
+    assert row.dtype == np.float32 and abs(float(row.sum()) - 1.0) <= 1e-6
+    assert (row[:6] == 0).all()  # the female classes
+    ages = np.array([age for _, age in atlas.classes[6:]])
+    want = np.exp(-0.5 * ((ages - 141.0) / TARGET_SIGMA) ** 2)
+    np.testing.assert_allclose(row[6:], want / want.sum(), rtol=1e-6)
+    assert atlas.classes[int(np.argmax(row))] == ("male", 144.0)
+    with pytest.raises(ContractError, match="sex must be"):
+        atlas.target("other", 120.0)
 
 
 def test_atlas_save_load_roundtrip(tmp_path):
@@ -134,30 +140,30 @@ def test_estimate_age_nearest_class_tracks_scores():
 # ---------------------------------------------------------------------------
 
 
-def test_train_validates_class_index():
+def test_train_validates_sex_and_age():
     model = build_age_model(TINY, seed=0)
     crop = _crop(5, (32, 32))
-    with pytest.raises(ContractError, match="sample 0"):
-        train_age(model, [(crop, 12)], ONE_EPOCH)
-    with pytest.raises(ContractError, match="sample 0"):
-        train_age(model, [(crop, -1)], ONE_EPOCH)
+    with pytest.raises(ContractError, match="sample 1: sex must be"):
+        train_age(model, [(crop, "male", 150.0), (crop, "other", 150.0)], ONE_EPOCH)
+    with pytest.raises(ContractError, match="sample 0: age must be finite"):
+        train_age(model, [(crop, "female", float("nan"))], ONE_EPOCH)
 
 
 def test_train_validates_crop_size():
     model = build_age_model(TINY, seed=0)
     with pytest.raises(DimensionError, match="sample 0"):
-        train_age(model, [(_crop(6, (64, 64)), 3)], ONE_EPOCH)
+        train_age(model, [(_crop(6, (64, 64)), "female", 150.0)], ONE_EPOCH)
 
 
 def test_train_reports_epoch_and_batch_on_blowup():
     model = build_age_model(TINY, seed=0)
     model.params["head_class.b"].data[:] = np.nan
     with pytest.raises(TrainingError, match="epoch 0, batch 0"):
-        train_age(model, [(_crop(7, (32, 32)), 3)], ONE_EPOCH)
+        train_age(model, [(_crop(7, (32, 32)), "female", 150.0)], ONE_EPOCH)
 
 
 def test_train_is_deterministic():
-    data = [(_crop(i, (32, 32)), i % 12) for i in range(6)]
+    data = [(_crop(i, (32, 32)), ("female", "male")[i % 2], 120.0 + 11.0 * i) for i in range(6)]
     runs = []
     for _ in range(2):
         model, history = train_age(build_age_model(TINY, seed=3), data, TrainSettings(3, 2e-3, 8), seed=5)
@@ -169,14 +175,14 @@ def test_train_is_deterministic():
 def test_single_sample_overfit_recovers_the_age():
     atlas = ReferenceAtlas()
     crop = _crop(8, (32, 32))
-    truth = 156.0  # a class age: the expectation of a sure head is that age
+    truth = 156.0  # a class age, mid-atlas: its target's expectation is 156 to 0.001 months
     model = build_age_model(TINY, seed=4)
     model, history = train_age(
         model,
-        [(crop, atlas.class_of("female", truth))],
+        [(crop, "female", truth)],
         TrainSettings(epochs=400, learning_rate=3e-3, batch_size=1),
         seed=0,
     )
     est = estimate_age(model, crop, atlas)
     assert abs(est.age_months - truth) < 1.0
-    assert est.nearest_class == atlas.class_of("female", truth)
+    assert atlas.classes[est.nearest_class] == ("female", truth)

@@ -167,6 +167,18 @@ def test_augment_rejects_non_finite_reference_age(workspace, tmp_path, capsys, a
     assert not (out / "augmented").exists()
 
 
+def test_augment_refuses_a_non_ascii_reference_id_before_any_work(workspace, tmp_path, capsys):
+    # the id names the variants' files and manifest lines, which are ASCII
+    root, ini = workspace
+    src = root / "out" / "phantoms" / "ph0000.pgm"
+    listing = tmp_path / "refs.txt"
+    listing.write_text(f"refA 132 female {src}\nr\u00e9 150 male {src}\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["augment", "--refs", str(listing), *_args(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {listing}:2: ref_id must be ASCII, got 'r\u00e9'\n"
+    assert not (out / "augmented").exists()
+
+
 @pytest.mark.parametrize(
     "line, message",
     [
@@ -273,6 +285,17 @@ def test_predict_rejects_two_images_with_the_same_stem(workspace, tmp_path, caps
     argv = ["predict", "--verbose", str(first), str(second), *_args(ini), "--out", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {first} and {second} share the id 'ph0000'\n"
+    assert not out.exists()
+
+
+def test_predict_refuses_a_non_ascii_image_stem_before_any_work(workspace, tmp_path, capsys):
+    # the stem is the predictions.csv id, which is written as ASCII
+    root, ini = workspace
+    image = tmp_path / "\u00e9.pgm"
+    image.write_bytes((root / "out" / "phantoms" / "ph0000.pgm").read_bytes())
+    out = tmp_path / "o"
+    assert main(["predict", str(image), *_args(ini), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {image}: its id '\u00e9' (the file stem) must be ASCII\n")
     assert not out.exists()
 
 
@@ -449,6 +472,25 @@ def test_eval_rejects_non_finite_months(workspace, tmp_path, capsys, which, mont
     assert capsys.readouterr().err == (
         f"error: {files[which]}:3: months must be {must}, got '{months}'\n"
     )
+    assert not (tmp_path / "o" / "report.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("id,months\na,120\n\u00e9,126\n".encode("utf-8"), "id must be ASCII, got '\u00e9'"),
+        (b"id,months\na,120\n\xe9,126\n", "not UTF-8 text"),
+    ],
+    ids=["non-ascii-id", "not-utf8"],
+)
+def test_eval_refuses_ids_it_cannot_write_with_the_line(workspace, tmp_path, capsys, labels, message):
+    _, ini = workspace
+    pred, lab = tmp_path / "pred.csv", tmp_path / "labels.csv"
+    pred.write_text("id,months\na,126\n")
+    lab.write_bytes(labels)
+    argv = ["eval", "--predictions", str(pred), "--labels", str(lab), *_args(ini), "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {lab}:3: {message}\n")
     assert not (tmp_path / "o" / "report.csv").exists()
 
 

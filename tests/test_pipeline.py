@@ -42,7 +42,6 @@ from boneage.pipeline import (
     Pipeline,
     PredictionRecord,
     age_data_deployed,
-    build_phantom_atlas,
     holdout_phantoms,
     load_model,
     masked_bone_image,
@@ -107,17 +106,13 @@ def test_roi_data_box_matches_the_prepared_truth():
 
 def test_age_data_keeps_positives_only(tmp_path):
     cfg = make_config(tmp_path)
-    atlas = build_phantom_atlas(cfg)
     samples = [_sample(5), _sample(6, joint=False), _sample(7, maturity=1.0)]
-    pairs = age_data_deployed(samples, atlas, cfg.age.input_size, build_unet(cfg.unet))
+    pairs = age_data_deployed(samples, cfg.age.input_size, build_unet(cfg.unet))
     assert len(pairs) == 2
-    for crop, _ in pairs:
+    for crop, _, _ in pairs:
         assert (crop.width, crop.height) == cfg.age.input_size
-    # the class index is the atlas's own nearest-class answer
-    assert [class_index for _, class_index in pairs] == [
-        atlas.class_of("female", 150.0),
-        atlas.class_of("female", 180.0),
-    ]
+    # each crop carries its sample's sex and age, from which train_age builds its target
+    assert [(sex, age) for _, sex, age in pairs] == [("female", 150.0), ("female", 180.0)]
 
 
 def test_age_data_crops_on_the_smallest_canvas():
@@ -125,8 +120,8 @@ def test_age_data_crops_on_the_smallest_canvas():
     jitter grows past the 720x960 frame is cut to it, not clamped off it."""
     samples = generate_dataset(4, seed=0, negative_fraction=0.0, image_size=(32, 32))
     seg = build_unet(UNetConfig(depth=2, base_channels=4, input_size=(32, 32)))
-    pairs = age_data_deployed(samples, ReferenceAtlas(), (32, 32), seg)
-    assert [(crop.width, crop.height) for crop, _ in pairs] == [(32, 32)] * 4
+    pairs = age_data_deployed(samples, (32, 32), seg)
+    assert [(crop.width, crop.height) for crop, _, _ in pairs] == [(32, 32)] * 4
 
 
 def test_training_and_holdout_streams_are_disjoint(tmp_path):
@@ -185,7 +180,7 @@ def test_stage_trains_with_the_config_recipe(tmp_path, stage):
         ),
         "age": (
             lambda: train_age_stage(cfg, samples, seg_model=seg),
-            lambda: age_data_deployed(samples, ReferenceAtlas(), cfg.age.input_size, seg, seed=cfg.seed),
+            lambda: age_data_deployed(samples, cfg.age.input_size, seg, seed=cfg.seed),
         ),
     }[stage]
     history = staged()[-1]
@@ -213,7 +208,7 @@ def test_trainer_rejects_an_off_size_sample_naming_it(tmp_path, stage):
     dataset = {
         "segmentation": pairs,
         "localization": [(img, RoiBox(1, 1, 8, 8), True) for img, _ in pairs],
-        "age": [(img, 3) for img, _ in pairs],
+        "age": [(img, "female", 150.0) for img, _ in pairs],
     }[stage]
     message = f"^sample 1: expected a {w}x{h} image, got {2 * w}x{2 * h}$"
     with pytest.raises(DimensionError, match=message):

@@ -217,7 +217,7 @@ def _dx_db_oracles(x, kern, g, stride, padding):
 
 def _assert_conv_matches_oracles(shape):
     """The forward against the one-GEMM padded-width oracle, dx and db
-    against ``_dx_db_oracles`` and dW against the per-tap GEMMs, all byte
+    against ``_dx_db_oracles`` and dW against the chunked GEMMs, all byte
     for byte; returns the case's x, kernel, bias and forward."""
     stride, padding = shape[6:]
     x, kern, b, g, out, (dx, dw, db) = _conv_case(shape)
@@ -267,7 +267,7 @@ def test_conv2d_column_blocks_are_byte_identical_to_one_gemm(shape):
 
 # the 1x1 and single-channel shapes above, and the nets' first layers and
 # U-Net head at N = 1, 2, 3, 4, 8 and 16. dW once took tensordot's bytes
-# on these shapes, which named the test; the per-tap sum over images now
+# on these shapes, which named the test; the chunked sum over images now
 # sets them.
 _IDENTITY_ORDER_SHAPES = [s for s in ALL_CONV_SHAPES if s[5] == 1 or s[1] == 1] + [
     (n,) + layer for n in (1, 2, 3, 4, 8, 16)
@@ -285,7 +285,7 @@ def test_conv2d_dw_is_byte_identical_to_tensordot_where_column_order_is_kept(sha
 # dW reads each tap's cells every stride-th one, the only stride-dependent
 # step of its GEMMs; no pipeline conv has stride 2, so these shapes hold
 # it to float64 loops, which share no code with the package or the
-# per-tap oracle
+# chunked oracle
 _STRIDE2_SHAPES = [
     (1, 3, 9, 11, 4, 3, 2, 1),
     (3, 2, 10, 7, 5, 3, 2, 0),
@@ -613,11 +613,11 @@ def test_unet_forward_traced_peak_stays_under_bound():
 
 
 # traced allocation peak of one default U-Net training step (forward, MSE,
-# backward) at N = 4. With the backward's taps run per image group it
-# reads 27.7 MB (numpy 2.4; 29.5 MB with one group of the whole batch);
-# building the whole (C*kh*kw, N*span) column gradient first read
-# 48.0 MB. The bound leaves 8.3 MB of margin and fails the column
-# gradient by 12 MB.
+# backward) at N = 4. With dW as one stacked matmul and dx's taps run per
+# image group it reads 28.4 MB (numpy 2.4; 27.7 MB with per-image dW
+# GEMMs, 29.5 MB with dx in one group of the whole batch); building the
+# whole (C*kh*kw, N*span) column gradient first read 48.0 MB. The bound
+# leaves 7.6 MB of margin and fails the column gradient by 12 MB.
 _UNET_STEP_PEAK_BOUND_MB = 36.0
 
 
