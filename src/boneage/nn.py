@@ -82,11 +82,15 @@ def init_dense(
     params[f"{name}.b"] = Tensor(np.zeros(out_dim, dtype=np.float32), requires_grad=True)
 
 
-def conv_block(x: Tensor, params: Dict[str, Tensor], name: str) -> Tensor:
-    """Two padded 3x3 conv+relu layers, the standard double-conv block."""
+def conv_block(
+    x: Tensor, params: Dict[str, Tensor], name: str, skip: Optional[Tensor] = None
+) -> Tensor:
+    """Two padded 3x3 conv+relu layers, the standard double-conv block.
+    With ``skip``, the first reads ``concat_channels(upsample2x(x), skip)``."""
     for conv in ("conv1", "conv2"):
         w, b = params[f"{name}.{conv}.w"], params[f"{name}.{conv}.b"]
-        x = T.conv2d(x, w, b, stride=1, padding=1, relu=True)
+        x = T.conv2d(x, w, b, stride=1, padding=1, relu=True, skip=skip)
+        skip = None
     return x
 
 

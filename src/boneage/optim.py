@@ -74,7 +74,8 @@ def optimizer_step(params: Dict[str, Tensor], state: OptimizerState) -> None:
             raise ContractError(
                 f"gradient for {name!r} has shape {g.shape}, parameter is {p.data.shape}"
             )
-        if not np.isfinite(g).all():
+        # a float64 sum is finite exactly when every value is, with no mask
+        if not np.isfinite(g.sum(dtype=np.float64)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)

@@ -3,7 +3,8 @@
 The network is the usual contracting/expanding shape: each encoder
 level doubles the channel count and halves both extents, the bottleneck
 doubles channels once more, and each decoder level upsamples, merges
-the matching encoder output, and halves the channel count. A final
+the matching encoder output, and halves the channel count; its first
+conv builds the merged input itself (``conv2d``'s ``skip``). A final
 1x1 convolution plus sigmoid produces a per-pixel bone probability.
 
 The net runs at ``config.input_size`` (default 96x64, same 3:2 aspect
@@ -24,7 +25,7 @@ from .errors import ConfigError, DimensionError, TrainingError
 from .imaging import GrayImage, resize_bilinear
 from .optim import TrainSettings
 from .roi import RAW_HEIGHT, RAW_WIDTH
-from .tensor import Tensor, add, concat_channels, conv2d, loss, max_pool2d, sigmoid, upsample2x
+from .tensor import Tensor, add, conv2d, loss, max_pool2d, sigmoid
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,7 @@ def unet_forward(model: nn.Model, x: Tensor) -> Tensor:
         t = max_pool2d(t)
     t = nn.conv_block(t, p, "bottleneck")
     for level in reversed(range(cfg.depth)):
-        t = concat_channels(upsample2x(t), skips[level])
-        t = nn.conv_block(t, p, f"dec{level}")
+        t = nn.conv_block(t, p, f"dec{level}", skip=skips[level])
     logits = conv2d(t, p["head.w"], p["head.b"], stride=1, padding=0)
     return sigmoid(logits)
 

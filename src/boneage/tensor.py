@@ -13,6 +13,10 @@ Conventions:
   * gradients accumulate into Tensor.grad until optim.zero_grads clears them.
   * an op never writes into its input arrays: backward rules read the
     arrays they saw in the forward pass, relu's reads its own output.
+  * a backward rule never writes into its g or an array it returns, and
+    may return views of g or one array twice: Tape.backward hands them on
+    uncopied and sums out of place, and accumulate_grad copies into an
+    owned Tensor.grad.
   * the tape stack is per context (a ContextVar), so a tape records only
     the ops of the thread or task that opened it.
 
@@ -69,6 +73,12 @@ matrix's size, so splitting its columns moves bits (the pipeline never
 takes that dx: the image needs no grad). The budget is fixed because it
 changes only speed: on a 2 MiB-L2 core, budgets of 2048 to 6144 columns
 timed alike, and all of them keep the bytes.
+
+A U-Net decoder conv reads concat_channels(upsample2x(x), skip) with
+both written straight into the zero-padded xp, so neither the upsampled
+nor the concatenated array exists; the GEMMs and output bytes are those
+of the three ops. Its backward sums each 2x2 block of x's channels of
+dx in upsample2x's order and hands the skip its channels as a view.
 
 Where an image's span exceeds 512 columns, the forward copies and
 multiplies its columns in blocks of 512 from the image's first column
@@ -224,12 +234,8 @@ class Tape:
                     continue
                 g_in = np.asarray(g_in, dtype=np.float32)
                 key = id(inp)
-                if key in pending:
-                    pending[key] += g_in
-                else:
-                    # copy: backward rules may hand out views or shared
-                    # buffers, and stored grads are mutated in place
-                    pending[key] = g_in.copy()
+                # out of place: g_in may be a view of another gradient
+                pending[key] = pending[key] + g_in if key in pending else g_in
         # Whatever is left belongs to leaves (tensors no entry produces).
         for entry in self._entries:
             for inp in entry.inputs:
@@ -281,11 +287,14 @@ def _pitched(wide: np.ndarray, n: int, ho: int, wo: int, wp: int, pitch: int) ->
 
 
 def conv2d(
-    x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0, relu: bool = False
+    x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, padding: int = 0, relu: bool = False,
+    skip: Optional[Tensor] = None,
 ) -> Tensor:
     """Cross-correlation of an NCHW batch with an FCkHkW kernel stack.
 
     Output spatial extents follow floor((H + 2*padding - kH)/stride) + 1.
+    With ``skip``, the input is ``concat_channels(upsample2x(x), skip)``
+    to the byte, built in the padded input (see the module notes).
     With ``relu=True`` the result is ``relu(conv2d(...))`` to the byte, as
     one tape entry that keeps no pre-activation array: bias and relu are
     applied in place on the fresh GEMM output, and the backward masks g
@@ -303,7 +312,7 @@ def conv2d(
     over images and chunks in that order. dx adds, per group of
     max(1, _BWD_GROUP // span) images (one group for a one-channel
     input) and kernel tap, that tap's kernel.T @ g over the group's
-    columns; it is skipped (None) for an input that needs no grad.
+    columns; it is skipped (None) for an x that needs no grad and no skip.
     """
     x, kernel, bias = _as_tensor(x), _as_tensor(kernel), _as_tensor(bias)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
@@ -311,6 +320,16 @@ def conv2d(
             f"conv2d expects 4-d input and kernel, got {x.data.ndim}-d and {kernel.data.ndim}-d"
         )
     n, c, h, w = x.shape
+    inputs = (x, kernel, bias)
+    cu = 0  # channels of the merged input that come from upsample2x(x)
+    if skip is not None:
+        skip = _as_tensor(skip)
+        if skip.data.ndim != 4 or skip.shape[0] != n or skip.shape[2:] != (2 * h, 2 * w):
+            raise DimensionError(
+                f"skip shape {skip.shape} does not match the upsampled input {(n, c, 2 * h, 2 * w)}"
+            )
+        inputs += (skip,)
+        cu, c, h, w = c, c + skip.shape[1], 2 * h, 2 * w
     f, ck, kh, kw = kernel.shape
     if ck != c:
         raise DimensionError(f"kernel expects {ck} input channels, input has {c}")
@@ -333,10 +352,19 @@ def conv2d(
     # dW's last chunk reads stride*(pitch - span) cells past the last
     # image's span, which lie past xp's end: a zeroed tail holds them
     slack = stride * (pitch - span)
-    if padding or slack:
+    if padding or slack or cu:
         xbuf = np.zeros(n * c * hp * wp + slack, dtype=np.float32)
         xp = xbuf[: n * c * hp * wp].reshape(n, c, hp, wp)
-        xp[:, :, padding : padding + h, padding : padding + w] = x.data
+        inner = xp[:, :, padding : padding + h, padding : padding + w]
+        if cu:
+            # each cell of x fills a 2x2 block of the first cu channels: four
+            # strided copies, where one broadcast copy ran 2 floats at a time
+            for i in (0, 1):
+                for j in (0, 1):
+                    inner[:, :cu, i::2, j::2] = x.data
+            inner[:, cu:] = skip.data
+        else:
+            inner[...] = x.data
     else:
         xp = xbuf = np.ascontiguousarray(x.data)
     # column (c, p, q) of image n is xp[n, c] from flat cell p*wp + q on,
@@ -378,7 +406,7 @@ def conv2d(
         )
         dw = np.empty((f, c, kh, kw), dtype=np.float32)
         np.add.reduce((gc @ cells).reshape(n * nch, kh, kw, f, c), axis=0, out=dw.transpose(2, 3, 0, 1))
-        if not x.requires_grad:
+        if not (x.requires_grad or cu):
             return None, dw, db
         dxp = np.zeros((c, n, hp * wp), dtype=np.float32)
         group = n if c == 1 else max(1, _BWD_GROUP // span)
@@ -397,9 +425,11 @@ def conv2d(
         dx = dxp.reshape(c, n, hp, wp).transpose(1, 0, 2, 3)
         if padding:
             dx = dx[:, :, padding : padding + h, padding : padding + w]
+        if cu:
+            return _block_sums(dx[:, :cu]), dw, db, dx[:, cu:]
         return dx, dw, db
 
-    return _make_output(out, (x, kernel, bias), bwd)
+    return _make_output(out, inputs, bwd)
 
 
 # the four cells of a 2x2 window, in the order ties are broken
@@ -440,19 +470,25 @@ def upsample2x(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.data.ndim != 4:
         raise DimensionError(f"upsample2x expects a 4-d tensor, got {x.data.ndim}-d")
-    n, c, h, w = x.shape
     out = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def bwd(g: np.ndarray):
-        v = g.reshape(n, c, h, 2, w, 2)
-        if w == 1:  # here numpy's sum adds the four cells in another order
-            return (v.sum(axis=(3, 5)),)
-        # each 2x2 block summed in the order .sum(axis=(3, 5)) uses, minus its reduction loop
-        top = v[:, :, :, 0, :, 0] + v[:, :, :, 0, :, 1]
-        top += v[:, :, :, 1, :, 0] + v[:, :, :, 1, :, 1]
-        return (top,)
+        return (_block_sums(g),)
 
     return _make_output(out, (x,), bwd)
+
+
+def _block_sums(g: np.ndarray) -> np.ndarray:
+    """Each 2x2 block of an (N, C, 2H, 2W) g summed: upsample2x's backward."""
+    n, c, h2, w2 = g.shape
+    v = g.reshape(n, c, h2 // 2, 2, w2 // 2, 2)
+    if w2 == 2:  # here numpy's sum adds the four cells in another order,
+        # one that follows g's layout: sum them C-ordered, as tests pin
+        return np.ascontiguousarray(v).sum(axis=(3, 5))
+    # each 2x2 block summed in the order .sum(axis=(3, 5)) uses, minus its reduction loop
+    top = v[:, :, :, 0, :, 0] + v[:, :, :, 0, :, 1]
+    top += v[:, :, :, 1, :, 0] + v[:, :, :, 1, :, 1]
+    return top
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:

@@ -419,6 +419,51 @@ def test_upsample2x_backward_is_byte_identical_to_block_sum(shape):
     assert dx.shape == want.shape and dx.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 16])
+@pytest.mark.parametrize("coarse_shape", _unet_upsample_shapes(UNetConfig()))
+def test_conv2d_with_skip_is_byte_identical_to_conv2d_of_concat_of_upsample(coarse_shape, n):
+    # each default decoder level's merged conv against the three ops it
+    # replaces: the output and the grads of coarse, kernel, bias and skip
+    c, h, w = coarse_shape
+    rng = np.random.default_rng(970 + 17 * n + c)
+    coarse = np.maximum(rng.standard_normal((n, c, h, w)), 0.0).astype(np.float32)
+    coarse[:, :, : h // 2, : w // 2] = 0.0
+    skip = np.maximum(rng.standard_normal((n, c // 2, 2 * h, 2 * w)), 0.0).astype(np.float32)
+    kern = rng.standard_normal((c // 2, c + c // 2, 3, 3)).astype(np.float32)
+    b = rng.standard_normal(c // 2).astype(np.float32)
+    b[0] = 0.0  # so some pre-activations are exactly zero
+    g = rng.standard_normal((n, c // 2, 2 * h, 2 * w)).astype(np.float32)
+    g[rng.random(g.shape) < 0.2] = -0.0
+
+    def run(merged):
+        leaves = [T.Tensor(a, requires_grad=True) for a in (coarse, kern, b, skip)]
+        ct, kt, bt, st = leaves
+        with T.Tape() as tape:
+            if merged:
+                out = T.conv2d(ct, kt, bt, padding=1, relu=True, skip=st)
+            else:
+                out = T.conv2d(T.concat_channels(T.upsample2x(ct), st), kt, bt, padding=1, relu=True)
+        assert len(tape) == (1 if merged else 3)
+        grads = _reverse_sweep(tape, out, g)
+        return out.data, [grads[id(t)] for t in leaves]
+
+    got_out, got = run(True)
+    want_out, want = run(False)
+    assert got_out.tobytes() == want_out.tobytes()
+    for name, got_g, want_g in zip(("coarse", "kernel", "bias", "skip"), got, want):
+        assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes(), name
+
+
+def test_conv2d_rejects_a_skip_input_that_does_not_match_the_upsampled_input():
+    x, kern, b = np.zeros((2, 4, 3, 5)), np.zeros((2, 6, 3, 3)), np.zeros(2)
+    T.conv2d(x, kern, b, padding=1, skip=np.zeros((2, 2, 6, 10)))
+    for shape in [(2, 2, 6, 9), (1, 2, 6, 10), (2, 2, 6)]:
+        with pytest.raises(DimensionError):
+            T.conv2d(x, kern, b, padding=1, skip=np.zeros(shape))
+    with pytest.raises(DimensionError):  # 4 + 3 channels for a 6-channel kernel
+        T.conv2d(x, kern, b, padding=1, skip=np.zeros((2, 3, 6, 10)))
+
+
 # ---------------------------------------------------------------------------
 # branch-free relu and the fused conv + bias + relu, against np.where
 # ---------------------------------------------------------------------------
@@ -484,19 +529,28 @@ _NETS = {
 
 
 def _conv_layers(monkeypatch, net):
-    """(x shape without N, kernel shape, padding, relu) of every conv the
-    net's default geometry runs, recorded from one forward pass."""
+    """(x shape without N, kernel shape, padding, relu, up) of every conv
+    the net's default geometry runs, recorded from one forward pass. A
+    conv given a skip input records its merged input's shape, and as
+    ``up`` how many of those channels are the upsampled x; elsewhere
+    ``up`` is 0."""
     build, forward = _NETS[net]
     model = build(getattr(PipelineConfig(), net))
     layers = []
     conv2d = T.conv2d
 
-    def spy(x, kernel, bias, stride=1, padding=0, relu=False):
+    def spy(x, kernel, bias, stride=1, padding=0, relu=False, skip=None):
         assert stride == 1
-        layers.append((x.shape[1:], kernel.shape, padding, relu))
-        return conv2d(x, kernel, bias, stride=stride, padding=padding, relu=relu)
+        if skip is None:
+            layers.append((x.shape[1:], kernel.shape, padding, relu, 0))
+        else:
+            layers.append(((x.shape[1] + skip.shape[1],) + skip.shape[2:], kernel.shape, padding, relu, x.shape[1]))
+        return conv2d(x, kernel, bias, stride=stride, padding=padding, relu=relu, skip=skip)
 
-    monkeypatch.setattr(T, "conv2d", spy)
+    # in every module that binds it, so a call by an imported name is seen too
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "boneage"]:
+        if getattr(mod, "conv2d", None) is conv2d:
+            monkeypatch.setattr(mod, "conv2d", spy)
     forward(model, T.Tensor(np.zeros((1, 1, model.config.height, model.config.width), dtype=np.float32)))
     monkeypatch.undo()
     return layers
@@ -543,9 +597,15 @@ def test_conv2d_relu_is_byte_identical_to_relu_of_conv2d(monkeypatch, net, n):
 @pytest.mark.parametrize("net", sorted(_NETS))
 def test_pipeline_convs_are_byte_identical_to_the_oracles(monkeypatch, net, n):
     # every conv of the net, fused relu included, on relu'd inputs with a
-    # zero quadrant; g holds -0.0 cells, and the relu mask adds +0.0 ones
+    # zero quadrant; g holds -0.0 cells, and the relu mask adds +0.0 ones.
+    # A merged decoder conv is checked on its explicit
+    # concat(upsample(coarse), skip) input.
     rng = np.random.default_rng(950 + n)
-    for (c, h, w), kshape, padding, relu in _conv_layers(monkeypatch, net):
+    layers = _conv_layers(monkeypatch, net)
+    if net == "unet":  # every conv of every level, the merged ones included
+        depth = PipelineConfig().unet.depth
+        assert len(layers) == 4 * depth + 3 and sum(layer[4] > 0 for layer in layers) == depth
+    for (c, h, w), kshape, padding, relu, up in layers:
         x = np.maximum(rng.standard_normal((n, c, h, w)), 0.0).astype(np.float32)
         x[:, :, : h // 2, : w // 2] = 0.0
         kern = rng.standard_normal(kshape).astype(np.float32)
@@ -553,18 +613,26 @@ def test_pipeline_convs_are_byte_identical_to_the_oracles(monkeypatch, net, n):
         g = rng.standard_normal((n, kshape[0], h + 2 * padding - kshape[2] + 1, w + 2 * padding - kshape[3] + 1))
         g = g.astype(np.float32)
         g[rng.random(g.shape) < 0.2] = -0.0
-        xt = T.Tensor(x, requires_grad=True)
+        if up:
+            coarse = x[:, :up, ::2, ::2].copy()
+            x[:, :up] = coarse.repeat(2, axis=2).repeat(2, axis=3)
+            xt, skip = T.Tensor(coarse, requires_grad=True), T.Tensor(x[:, up:], requires_grad=True)
+        else:
+            xt, skip = T.Tensor(x, requires_grad=True), None
         with T.Tape() as tape:
-            out = T.conv2d(xt, T.Tensor(kern), T.Tensor(b), padding=padding, relu=relu)
+            out = T.conv2d(xt, T.Tensor(kern), T.Tensor(b), padding=padding, relu=relu, skip=skip)
         got = tape._entries[-1].backward_fn(g)
         want_out = conv2d_tensordot_ref(x, kern, b, padding=padding)
         if relu:
             want_out, g = relu_where_ref(want_out, g)
         want_dx, want_db = _dx_db_oracles(x, kern, g, 1, padding)
-        want_dw = conv2d_tap_dw_ref(x, kern, g, 1, padding)
-        layer = (c, h, w, kshape, padding, relu)
+        want = (want_dx, conv2d_tap_dw_ref(x, kern, g, 1, padding), want_db)
+        if up:
+            want = (upsample2x_grad_sum_ref(want_dx[:, :up]),) + want[1:] + (want_dx[:, up:],)
+        layer = (c, h, w, kshape, padding, relu, up)
         assert out.data.tobytes() == want_out.tobytes(), layer
-        for got_g, want_g in zip(got, (want_dx, want_dw, want_db)):
+        assert len(got) == len(want), layer
+        for got_g, want_g in zip(got, want):
             assert got_g.shape == want_g.shape and got_g.tobytes() == want_g.tobytes(), layer
 
 
@@ -613,12 +681,14 @@ def test_unet_forward_traced_peak_stays_under_bound():
 
 
 # traced allocation peak of one default U-Net training step (forward, MSE,
-# backward) at N = 4. With dW as one stacked matmul and dx's taps run per
-# image group it reads 28.4 MB (numpy 2.4; 27.7 MB with per-image dW
-# GEMMs, 29.5 MB with dx in one group of the whole batch); building the
-# whole (C*kh*kw, N*span) column gradient first read 48.0 MB. The bound
-# leaves 7.6 MB of margin and fails the column gradient by 12 MB.
-_UNET_STEP_PEAK_BOUND_MB = 36.0
+# backward) at N = 4. With each decoder conv building its merged input in
+# its own padded buffer and the tape handing gradients on uncopied it
+# reads 20.9 MB (numpy 2.4); with upsample2x and concat_channels as ops
+# of their own and a copy of every gradient the tape received it read
+# 27.7 MB, and with the whole (C*kh*kw, N*span) column gradient built
+# first 48.0 MB. The bound leaves 4.1 MB of margin and fails the separate
+# ops by 2.7 MB.
+_UNET_STEP_PEAK_BOUND_MB = 25.0
 
 
 def test_unet_training_step_traced_peak_stays_under_bound():
@@ -746,9 +816,11 @@ def test_gradients_accumulate_across_shared_consumers():
     np.testing.assert_allclose(x.grad, 4.0 * x.data, rtol=1e-6)
 
 
-def _reverse_sweep(tape, root):
-    """Every tensor's gradient by one plain reverse pass over the tape."""
-    grads = {id(root): np.ones(root.shape, dtype=np.float32)}
+def _reverse_sweep(tape, root, g=None):
+    """Every tensor's gradient by one plain reverse pass over the tape,
+    from ``g`` (ones by default) at ``root``; each gradient is stored as a
+    copy, so none aliases another."""
+    grads = {id(root): np.ones(root.shape, dtype=np.float32) if g is None else g}
     for entry in reversed(tape._entries):
         g_out = grads.get(id(entry.out))
         if g_out is None:
@@ -775,6 +847,40 @@ def test_backward_fills_leaf_grads_only():
     assert len(outputs) > 10 and all(t.requires_grad and t.grad is None for t in outputs)
     for name, p in model.params.items():
         assert p.grad.tobytes() == want[id(p)].tobytes(), name
+
+
+def test_backward_through_aliased_gradients_matches_the_reverse_sweep(monkeypatch):
+    # concat_channels hands its inputs two views of one g, and add one g
+    # to both of its inputs; a sum written into any of them would reach
+    # another tensor's gradient
+    rng = np.random.default_rng(21)
+    x = T.Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+    y = T.Tensor(rng.standard_normal((2, 3, 4, 5)), requires_grad=True)
+    target = T.Tensor(rng.standard_normal((2, 6, 4, 5)))
+    with T.Tape() as tape:
+        a = T.concat_channels(x, x)
+        b = T.concat_channels(x, y)
+        root = T.loss(T.add(T.add(a, b), a), target, "mse")
+    want = _reverse_sweep(tape, root)
+    handed = []  # every array the sweep passes between backward rules and leaves
+    for entry in tape._entries:
+        def spy(g, fn=entry.backward_fn):
+            grads = fn(g)
+            handed.extend([g] + [a for a in grads if a is not None])
+            return grads
+        entry.backward_fn = spy
+    accumulate = T.Tensor.accumulate_grad
+
+    def accumulate_spy(self, g):
+        handed.append(g)
+        accumulate(self, g)
+
+    monkeypatch.setattr(T.Tensor, "accumulate_grad", accumulate_spy)
+    tape.backward(root)
+    for leaf, other in ((x, y), (y, x)):
+        assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
+        assert not np.shares_memory(leaf.grad, other.grad)
+        assert not any(np.shares_memory(leaf.grad, a) for a in handed)
 
 
 def _tiny_block(seed):
